@@ -8,7 +8,7 @@ import (
 )
 
 func TestDetlint(t *testing.T) {
-	analysistest.Run(t, "testdata", detlint.Analyzer, "a", "sim")
+	analysistest.Run(t, "testdata", detlint.Analyzer, "a", "runner")
 }
 
 func TestDetlintSuggestedFixes(t *testing.T) {

@@ -236,16 +236,24 @@ func TestRunsOverflowRejected(t *testing.T) {
 }
 
 func TestParseStrict(t *testing.T) {
-	cases := map[string]string{
-		"unknown top-level field": `{"base": {"workload": "oltp", "measure_cycles": 1000}, "cheese": 1}`,
-		"unknown axis field":      `{"base": {"workload": "oltp", "measure_cycles": 1000}, "axes": [{"name": "a", "points": [{"label": "x", "warp": 9}]}]}`,
-		"unknown fault kind":      `{"base": {"workload": "oltp", "measure_cycles": 1000}, "variants": [{"name": "v", "faults": [{"kind": "gamma-ray", "at": 1}]}]}`,
-		"trailing data":           `{"base": {"workload": "oltp", "measure_cycles": 1000}} {"x": 1}`,
-		"missing base":            `{"name": "empty"}`,
+	// want, when set, must appear in the error.
+	cases := map[string]struct{ in, want string }{
+		"unknown top-level field": {in: `{"base": {"workload": "oltp", "measure_cycles": 1000}, "cheese": 1}`},
+		"unknown axis field":      {in: `{"base": {"workload": "oltp", "measure_cycles": 1000}, "axes": [{"name": "a", "points": [{"label": "x", "warp": 9}]}]}`},
+		"retired axis override": {
+			in:   `{"base": {"workload": "oltp", "measure_cycles": 1000}, "axes": [{"name": "a", "points": [{"label": "x", "overrides": {"engine_shards": 2}}]}]}`,
+			want: "engine_shards",
+		},
+		"unknown fault kind": {in: `{"base": {"workload": "oltp", "measure_cycles": 1000}, "variants": [{"name": "v", "faults": [{"kind": "gamma-ray", "at": 1}]}]}`},
+		"trailing data":      {in: `{"base": {"workload": "oltp", "measure_cycles": 1000}} {"x": 1}`},
+		"missing base":       {in: `{"name": "empty"}`},
 	}
-	for name, in := range cases {
-		if _, err := Parse([]byte(in)); err == nil {
+	for name, c := range cases {
+		_, err := Parse([]byte(c.in))
+		if err == nil {
 			t.Errorf("%s: Parse succeeded, want error", name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not name %q", name, err, c.want)
 		}
 	}
 }

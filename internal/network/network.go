@@ -4,18 +4,11 @@
 // running examples — a dropped message (transient) and a killed half-switch
 // that loses everything buffered inside it (hard fault).
 //
-// The network runs on a sim.Domain, so hops may execute on different
-// engine shards. Every scheduling edge that can cross shards is a hop
-// between adjacent nodes' half-switches and costs at least one switch
-// traversal plus minimum serialization — the domain's conservative
-// lookahead. Shard safety rests on ownership partitioning: the link
-// busy table is written only by the shard owning the link's source
-// endpoint, statistics and transit free lists are per shard, and the
-// route cache must be prewarmed (or the fault machinery must Hold the
-// domain) before shards route concurrently. Fault injection always
-// Holds: armed rules are global first-match state consulted on every
-// send, so a faulty run executes merged, identical to the sequential
-// oracle.
+// The network runs on the machine's sequential engine. A message's first
+// hop is a local schedule of the sending node; every later hop is a post
+// from the node owning the current half-switch to the node owning the
+// next one, so a hop's place in the engine's event order depends only on
+// where it was sent from.
 package network
 
 import (
@@ -62,9 +55,8 @@ type Stats struct {
 	HopsTotal  uint64
 }
 
-// shardStats is one shard's private counter block, padded so two shards
-// never share a cache line.
-type shardStats struct {
+// counters is the hot-path counter block behind Stats.
+type counters struct {
 	sent       uint64
 	delivered  uint64
 	corrupted  uint64
@@ -73,12 +65,11 @@ type shardStats struct {
 	bytesSent  uint64
 	hopsTotal  uint64
 	dropped    [numDropReasons]uint64
-	_          [32]byte
 }
 
 // transit is the traversal state of one in-flight message: its cached
 // route, current position, and per-link serialization cost. Transits are
-// recycled through per-shard free lists and dispatched through the
+// recycled through a free list and dispatched through the
 // engine's arg-passing scheduler, so a hop costs no allocation.
 type transit struct {
 	m     *msg.Message
@@ -89,20 +80,16 @@ type transit struct {
 }
 
 // Network delivers messages between node network interfaces across the
-// torus. It is driven entirely by the simulation domain; external callers
+// torus. It is driven entirely by the simulation engine; external callers
 // must not use it concurrently.
 type Network struct {
-	dom  sim.Domain
-	topo *topology.Torus
-	p    config.Params
-	// engOf/shardOf cache the domain's per-node engine and shard.
-	engOf    []*sim.Engine
-	shardOf  []int32
+	eng      *sim.Engine
+	topo     *topology.Torus
+	p        config.Params
 	handlers []Handler
 	// busy holds per-link release times in a dense table indexed by
 	// from*nEnt+to over link endpoints (half-switches 0..2N-1, node
-	// interfaces 2N..3N-1). Each row is written only by the shard owning
-	// the from endpoint's node.
+	// interfaces 2N..3N-1).
 	busy []sim.Time
 	nEnt int
 
@@ -110,43 +97,34 @@ type Network struct {
 	// a closure per hop.
 	stepFn    func(any)
 	deliverFn func(any)
-	free      []*transit // per-shard transit free lists
+	free      *transit // transit free list
 
 	epoch      int
 	recovering bool
 
 	// ruleNow is the injection time drop rules read; set by Send before
-	// consulting the rules. Armed rules imply merged execution, where it
-	// is globally consistent.
+	// consulting the rules.
 	ruleNow   sim.Time
 	dropRules []func(*msg.Message) bool
 	onDrop    func(*msg.Message, DropReason)
 	onFault   func(kind string)
 
-	sstats []shardStats
+	ctr counters
 }
 
-// New builds a network over the given torus on the given scheduling
-// domain, using the timing parameters in p. Handlers start nil; Attach
-// them before sending.
-func New(dom sim.Domain, topo *topology.Torus, p config.Params) *Network {
+// New builds a network over the given torus on the given engine, using
+// the timing parameters in p. Handlers start nil; Attach them before
+// sending.
+func New(eng *sim.Engine, topo *topology.Torus, p config.Params) *Network {
 	n := topo.Nodes()
 	nEnt := 3 * n // 2N half-switches + N node interfaces
 	nw := &Network{
-		dom:      dom,
+		eng:      eng,
 		topo:     topo,
 		p:        p,
-		engOf:    make([]*sim.Engine, n),
-		shardOf:  make([]int32, n),
 		handlers: make([]Handler, n),
 		busy:     make([]sim.Time, nEnt*nEnt),
 		nEnt:     nEnt,
-		free:     make([]*transit, dom.ShardCount()),
-		sstats:   make([]shardStats, dom.ShardCount()),
-	}
-	for i := 0; i < n; i++ {
-		nw.engOf[i] = dom.EngineAt(i)
-		nw.shardOf[i] = int32(dom.ShardOf(i))
 	}
 	nw.stepFn = nw.step
 	nw.deliverFn = nw.deliverArg
@@ -157,19 +135,19 @@ func New(dom sim.Domain, topo *topology.Torus, p config.Params) *Network {
 func (nw *Network) nodeEnt(n int) int { return 2*nw.topo.Nodes() + n }
 
 //snvet:alloc-free
-func (nw *Network) allocTransit(shard int32) *transit {
-	if t := nw.free[shard]; t != nil {
-		nw.free[shard] = t.next
+func (nw *Network) allocTransit() *transit {
+	if t := nw.free; t != nil {
+		nw.free = t.next
 		return t
 	}
-	return &transit{} //snvet:alloc-ok pool miss; steady state reuses the per-shard free list
+	return &transit{} //snvet:alloc-ok pool miss; steady state reuses the free list
 }
 
 //snvet:alloc-free
-func (nw *Network) releaseTransit(shard int32, t *transit) {
+func (nw *Network) releaseTransit(t *transit) {
 	t.m, t.route = nil, nil
-	t.next = nw.free[shard]
-	nw.free[shard] = t
+	t.next = nw.free
+	nw.free = t
 }
 
 // Attach registers the delivery handler for node n.
@@ -179,36 +157,22 @@ func (nw *Network) Attach(n int, h Handler) { nw.handlers[n] = h }
 // inspecting reconfiguration).
 func (nw *Network) Topology() *topology.Torus { return nw.topo }
 
-// PrewarmRoutes fills the whole route cache. A sharded domain must call
-// this before running fault-free in parallel: lazy fills from concurrent
-// shards would race.
-func (nw *Network) PrewarmRoutes() {
-	n := nw.topo.Nodes()
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			nw.topo.Route(s, d)
-		}
-	}
-}
-
-// Stats returns a copy of the accumulated statistics, merged across
-// shards. Under parallel execution it is only meaningful between Run
-// calls.
+// Stats returns a copy of the accumulated statistics.
 func (nw *Network) Stats() Stats {
-	s := Stats{Dropped: make(map[DropReason]uint64)}
-	for i := range nw.sstats {
-		ss := &nw.sstats[i]
-		s.Sent += ss.sent
-		s.Delivered += ss.delivered
-		s.Corrupted += ss.corrupted
-		s.Misrouted += ss.misrouted
-		s.Duplicated += ss.duplicated
-		s.BytesSent += ss.bytesSent
-		s.HopsTotal += ss.hopsTotal
-		for r, v := range ss.dropped {
-			if v != 0 {
-				s.Dropped[DropReason(r)] += v
-			}
+	c := &nw.ctr
+	s := Stats{
+		Sent:       c.sent,
+		Delivered:  c.delivered,
+		Dropped:    make(map[DropReason]uint64),
+		Corrupted:  c.corrupted,
+		Misrouted:  c.misrouted,
+		Duplicated: c.duplicated,
+		BytesSent:  c.bytesSent,
+		HopsTotal:  c.hopsTotal,
+	}
+	for r, v := range c.dropped {
+		if v != 0 {
+			s.Dropped[DropReason(r)] = v
 		}
 	}
 	return s
@@ -217,10 +181,8 @@ func (nw *Network) Stats() Stats {
 // DroppedTotal sums drops across all reasons.
 func (nw *Network) DroppedTotal() uint64 {
 	var t uint64
-	for i := range nw.sstats {
-		for _, v := range nw.sstats[i].dropped {
-			t += v
-		}
+	for _, v := range nw.ctr.dropped {
+		t += v
 	}
 	return t
 }
@@ -231,18 +193,12 @@ func (nw *Network) Epoch() int { return nw.epoch }
 
 // BumpEpoch starts a new recovery epoch; every in-flight coherence message
 // becomes stale. SafetyNet recovery calls this to model draining the
-// interconnect (paper §3.6 step one). Callers must be in a shard-safe
-// context (the machine's quiesce runs under WhenSafe/Hold).
-//
-//snvet:global recovery epoch is read by every shard
+// interconnect (paper §3.6 step one).
 func (nw *Network) BumpEpoch() { nw.epoch++ }
 
 // SetRecovering toggles recovery mode: while set, newly injected coherence
 // messages are discarded at the source (the protocol is quiesced), while
-// system-coordination messages still flow. Same context requirement as
-// BumpEpoch.
-//
-//snvet:global recovery flag is read by every shard
+// system-coordination messages still flow.
 func (nw *Network) SetRecovering(r bool) { nw.recovering = r }
 
 // OnDrop installs a callback invoked for every dropped message, after
@@ -263,12 +219,8 @@ func (nw *Network) noteFault(kind string) {
 
 // AddDropRule installs a predicate consulted at injection; returning true
 // silently drops the message (a transient interconnect fault). Rules are
-// responsible for their own arming/disarming state. Arming any rule Holds
-// the domain for the rest of the run: rules are global first-match state,
-// so a faulty run executes merged (sequential-identical) rather than in
-// parallel windows.
+// responsible for their own arming/disarming state.
 func (nw *Network) AddDropRule(f func(*msg.Message) bool) {
-	nw.dom.Hold()
 	nw.dropRules = append(nw.dropRules, f)
 }
 
@@ -307,7 +259,7 @@ func (nw *Network) InjectCorruptOnce(at sim.Time) {
 		fired = true
 		m.Corrupted = true
 		m.Data ^= 0xdeadbeef // the damage an ECC-less endpoint would consume
-		nw.sstats[nw.shardOf[m.Src]].corrupted++
+		nw.ctr.corrupted++
 		nw.noteFault("corrupt-once")
 		return false // delivered, not dropped
 	})
@@ -326,7 +278,7 @@ func (nw *Network) InjectMisrouteOnce(at sim.Time) {
 		}
 		fired = true
 		m.Dst = (m.Dst + 1) % len(nw.handlers)
-		nw.sstats[nw.shardOf[m.Src]].misrouted++
+		nw.ctr.misrouted++
 		nw.noteFault("misroute-once")
 		return false // delivered — to the wrong place
 	})
@@ -343,13 +295,13 @@ func (nw *Network) InjectDuplicateOnce(at sim.Time) {
 			return false
 		}
 		fired = true
-		nw.sstats[nw.shardOf[m.Src]].duplicated++
+		nw.ctr.duplicated++
 		nw.noteFault("duplicate-once")
 		dup := msg.Alloc()
 		*dup = *m
 		// Re-inject the duplicate after this send completes; drop rules
 		// are consulted again but fired is already set.
-		nw.engOf[m.Src].After(1, func() { nw.Send(dup) })
+		nw.eng.After(1, func() { nw.Send(dup) })
 		return false
 	})
 }
@@ -370,46 +322,40 @@ func (nw *Network) InjectDropOnce(at sim.Time) {
 // KillSwitchAt schedules the hard fault of the paper's Experiment 3: at
 // cycle at, half-switch s dies, losing all messages buffered in it (any
 // in-flight message that reaches s afterwards is dropped) and forcing
-// routes computed later to detour around it. Arming Holds the domain for
-// the rest of the run: topology reconfiguration invalidates the shared
-// route cache.
+// routes computed later to detour around it.
 func (nw *Network) KillSwitchAt(s topology.SwitchID, at sim.Time) {
-	nw.dom.Hold()
-	nw.engOf[nw.topo.NodeOf(s)].Schedule(at, func() {
+	nw.eng.Schedule(at, func() {
 		nw.topo.Kill(s)
 		nw.noteFault("kill-switch")
 	})
 }
 
-// Send injects m into the network. Delivery is scheduled through the
-// domain; the handler of m.Dst eventually receives the message unless a
-// fault, a recovery, or a stale epoch eats it. Send must execute in the
-// scheduling context of a node on m.Src's shard (in practice: node
-// m.Src's own events, or its home service controller's).
+// Send injects m into the network. Delivery is scheduled on the engine;
+// the handler of m.Dst eventually receives the message unless a fault, a
+// recovery, or a stale epoch eats it. Send runs in the scheduling context
+// of the sending node (node m.Src's own events, or its home service
+// controller's), which owns the first hop.
 //
-//snvet:nodelocal
 //snvet:alloc-free
 func (nw *Network) Send(m *msg.Message) {
 	if nw.handlers[m.Dst] == nil {
 		panic(fmt.Sprintf("network: no handler attached to node %d", m.Dst))
 	}
-	srcShard := nw.shardOf[m.Src]
-	eng := nw.engOf[m.Src]
-	ss := &nw.sstats[srcShard]
+	c := &nw.ctr
 	m.Epoch = nw.epoch
-	ss.sent++
+	c.sent++
 	size := msg.Size(m.Type, nw.p.BlockBytes)
-	ss.bytesSent += uint64(size)
+	c.bytesSent += uint64(size)
 
 	if nw.recovering && m.Type.IsCoherence() {
-		nw.drop(srcShard, m, DropRecovering)
+		nw.drop(m, DropRecovering)
 		return
 	}
 	if len(nw.dropRules) > 0 {
-		nw.ruleNow = eng.Now()
+		nw.ruleNow = nw.eng.Now()
 		for _, rule := range nw.dropRules {
 			if rule(m) {
-				nw.drop(srcShard, m, DropInjectedFault)
+				nw.drop(m, DropInjectedFault)
 				return
 			}
 		}
@@ -418,49 +364,46 @@ func (nw *Network) Send(m *msg.Message) {
 	if m.Src == m.Dst {
 		// Local traffic bypasses the torus through the node's own
 		// network interface.
-		eng.AfterArg(sim.Time(nw.p.SwitchHopCycles), nw.deliverFn, m)
+		nw.eng.AfterArg(sim.Time(nw.p.SwitchHopCycles), nw.deliverFn, m)
 		return
 	}
 
 	route := nw.topo.Route(m.Src, m.Dst)
 	if route == nil {
-		nw.drop(srcShard, m, DropUnroutable)
+		nw.drop(m, DropUnroutable)
 		return
 	}
 	ser := sim.Time(nw.p.SerializationCycles(size))
-	t := nw.allocTransit(srcShard)
+	t := nw.allocTransit()
 	t.m, t.route, t.idx, t.ser = m, route, 0, ser
-	// The first hop enters the source's own half-switch: same node, same
-	// shard, so it schedules directly.
-	depart := nw.occupy(eng, nw.nodeEnt(m.Src), int(route[0]), ser)
+	// The first hop enters the source's own half-switch, so it is a
+	// local schedule of the sending node.
+	depart := nw.occupy(nw.nodeEnt(m.Src), int(route[0]), ser)
 	arrive := depart + ser + sim.Time(nw.p.SwitchHopCycles)
-	eng.ScheduleArg(arrive, nw.stepFn, t)
+	nw.eng.ScheduleArg(arrive, nw.stepFn, t)
 }
 
 // step runs when a message arrives at its next half-switch (or, once the
-// route is exhausted, at the destination's network interface). It
-// executes on the shard owning the current position's node; forwarding to
-// the next half-switch crosses nodes — and possibly shards — through the
-// domain, at a latency of at least one hop plus serialization (the
-// lookahead bound).
+// route is exhausted, at the destination's network interface). It runs
+// in the context of the node owning the current position; forwarding to
+// the next half-switch (or the destination interface) is a post to the
+// node owning it.
 //
-//snvet:nodelocal
 //snvet:alloc-free
 func (nw *Network) step(a any) {
 	t := a.(*transit)
 	if t.idx == len(t.route) {
 		m := t.m
-		nw.releaseTransit(nw.shardOf[m.Dst], t)
+		nw.releaseTransit(t)
 		nw.deliver(m)
 		return
 	}
 	cur := t.route[t.idx]
-	curNode := nw.topo.NodeOf(cur)
-	nw.sstats[nw.shardOf[curNode]].hopsTotal++
+	nw.ctr.hopsTotal++
 	if !nw.topo.Alive(cur) {
 		m := t.m
-		nw.releaseTransit(nw.shardOf[curNode], t)
-		nw.drop(nw.shardOf[curNode], m, DropDeadSwitch)
+		nw.releaseTransit(t)
+		nw.drop(m, DropDeadSwitch)
 		return
 	}
 	var to, toNode int
@@ -471,22 +414,19 @@ func (nw *Network) step(a any) {
 		to = int(t.route[t.idx+1])
 		toNode = nw.topo.NodeOf(topology.SwitchID(to))
 	}
-	depart := nw.occupy(nw.engOf[curNode], int(cur), to, t.ser)
+	depart := nw.occupy(int(cur), to, t.ser)
 	arrive := depart + t.ser + sim.Time(nw.p.SwitchHopCycles)
 	t.idx++
-	nw.dom.Post(curNode, toNode, arrive, nw.stepFn, t)
+	nw.eng.Post(toNode, arrive, nw.stepFn, t)
 }
 
 // occupy reserves the from->to link for ser cycles starting no earlier
-// than now and returns the departure time. e must be the engine of the
-// shard owning the from endpoint's node: link state is partitioned by
-// source endpoint, so each busy row has exactly one writing shard.
+// than now and returns the departure time.
 //
-//snvet:nodelocal
 //snvet:alloc-free
-func (nw *Network) occupy(e *sim.Engine, from, to int, ser sim.Time) sim.Time {
+func (nw *Network) occupy(from, to int, ser sim.Time) sim.Time {
 	li := from*nw.nEnt + to
-	depart := e.Now()
+	depart := nw.eng.Now()
 	if b := nw.busy[li]; b > depart {
 		depart = b
 	}
@@ -496,25 +436,22 @@ func (nw *Network) occupy(e *sim.Engine, from, to int, ser sim.Time) sim.Time {
 
 // deliverArg adapts deliver to the engine's arg-passing scheduler.
 //
-//snvet:nodelocal
 //snvet:alloc-free
 func (nw *Network) deliverArg(a any) { nw.deliver(a.(*msg.Message)) }
 
-//snvet:nodelocal
 //snvet:alloc-free
 func (nw *Network) deliver(m *msg.Message) {
-	dstShard := nw.shardOf[m.Dst]
 	if m.Type.IsCoherence() {
 		if m.Epoch != nw.epoch {
-			nw.drop(dstShard, m, DropStaleEpoch)
+			nw.drop(m, DropStaleEpoch)
 			return
 		}
 		if nw.recovering {
-			nw.drop(dstShard, m, DropRecovering)
+			nw.drop(m, DropRecovering)
 			return
 		}
 	}
-	nw.sstats[dstShard].delivered++
+	nw.ctr.delivered++
 	// Ownership of m passes to the handler, which releases it (directly
 	// or once any deferred processing it schedules completes).
 	nw.handlers[m.Dst](m)
@@ -522,10 +459,9 @@ func (nw *Network) deliver(m *msg.Message) {
 
 // drop consumes m: after the callback it returns to the message pool.
 //
-//snvet:nodelocal
 //snvet:alloc-free
-func (nw *Network) drop(shard int32, m *msg.Message, r DropReason) {
-	nw.sstats[shard].dropped[r]++
+func (nw *Network) drop(m *msg.Message, r DropReason) {
+	nw.ctr.dropped[r]++
 	if nw.onDrop != nil {
 		nw.onDrop(m, r)
 	}

@@ -163,19 +163,27 @@ func TestParseUnknownFaultKind(t *testing.T) {
 }
 
 func TestParseRejects(t *testing.T) {
-	cases := map[string]string{
-		"unknown top-level field": `{"workload": "oltp", "measure_cycles": 1, "cheese": 9}`,
-		"unknown override":        `{"workload": "oltp", "measure_cycles": 1, "overrides": {"warp_factor": 9}}`,
-		"missing workload":        `{"measure_cycles": 1000}`,
-		"unknown workload":        `{"workload": "fortnite", "measure_cycles": 1000}`,
-		"zero measure":            `{"workload": "oltp"}`,
-		"invalid config":          `{"workload": "oltp", "measure_cycles": 1, "overrides": {"num_nodes": 0}}`,
-		"bad protocol":            `{"workload": "oltp", "measure_cycles": 1, "overrides": {"protocol": "token"}}`,
-		"trailing data":           `{"workload": "oltp", "measure_cycles": 1} {"again": true}`,
+	// want, when set, must appear in the error.
+	cases := map[string]struct{ in, want string }{
+		"unknown top-level field": {in: `{"workload": "oltp", "measure_cycles": 1, "cheese": 9}`},
+		"unknown override":        {in: `{"workload": "oltp", "measure_cycles": 1, "overrides": {"warp_factor": 9}}`},
+		"retired override": {
+			in:   `{"workload": "oltp", "measure_cycles": 1, "overrides": {"engine_shards": 2}}`,
+			want: "engine_shards",
+		},
+		"missing workload": {in: `{"measure_cycles": 1000}`},
+		"unknown workload": {in: `{"workload": "fortnite", "measure_cycles": 1000}`},
+		"zero measure":     {in: `{"workload": "oltp"}`},
+		"invalid config":   {in: `{"workload": "oltp", "measure_cycles": 1, "overrides": {"num_nodes": 0}}`},
+		"bad protocol":     {in: `{"workload": "oltp", "measure_cycles": 1, "overrides": {"protocol": "token"}}`},
+		"trailing data":    {in: `{"workload": "oltp", "measure_cycles": 1} {"again": true}`},
 	}
-	for name, in := range cases {
-		if _, err := Parse([]byte(in)); err == nil {
+	for name, c := range cases {
+		_, err := Parse([]byte(c.in))
+		if err == nil {
 			t.Errorf("%s: Parse succeeded, want error", name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not name %q", name, err, c.want)
 		}
 	}
 }

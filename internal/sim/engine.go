@@ -3,21 +3,18 @@
 // cache and directory controllers, network switches, the checkpoint clock,
 // and the service controllers.
 //
-// The engine is single-threaded and fully deterministic. Events within one
-// cycle fire in (owner, class, key) order, where the owner is the node the
-// event belongs to (-1 for global events), the class separates node-local
-// schedules from cross-node posts, and the key is a per-owner sequence
-// number. Ownerless workloads — everything scheduled while the current
-// owner is -1 — degenerate to plain FIFO-within-cycle order, so components
-// that never annotate owners keep the engine's historical behavior.
-// Because every part of the key is intrinsic to the scheduling site (never
-// derived from arrival order at a queue), the order is identical whether
-// the events run on one engine or on the sharded engine's partitioned
-// queues; that is the determinism contract that makes sharded runs
-// byte-identical to the sequential oracle. Determinism matters here beyond
-// reproducibility — SafetyNet recovery re-executes work from a restored
-// checkpoint, and the tests compare re-executed state against reference
-// executions.
+// The engine is single-threaded and fully deterministic. Events fire in
+// (cycle, owner, class, source, sequence) order. The owner is the node the
+// event belongs to (-1 for global events, which sort first). The class
+// puts an owner's local schedules before posts made to it from any node.
+// Local schedules order by the owner's own sequence number; posts order
+// by the sending owner and that sender's post sequence. Every part of the
+// key is intrinsic to the scheduling site, never derived from arrival
+// order at a queue. Ownerless workloads — everything scheduled while the
+// current owner is -1 — degenerate to plain FIFO-within-cycle order.
+// Determinism matters here beyond reproducibility: SafetyNet recovery
+// re-executes work from a restored checkpoint, and the tests compare
+// re-executed state against reference executions.
 //
 // Internally the queue is a calendar (timing-wheel) queue: one bucket per
 // cycle over a wheelSize-cycle window, with a binary min-heap overflow for
@@ -77,7 +74,7 @@ type ovEntry struct {
 // remoteClass marks keys of cross-node posts: within one (cycle, owner)
 // all node-local schedules order before all posts, and posts order among
 // themselves by (source owner, per-source post sequence) — both intrinsic
-// to the sending site, so the order cannot depend on shard layout.
+// to the sending site.
 const remoteClass = uint64(1) << 63
 
 // remoteKey packs a post's ordering key from its source owner and the
@@ -139,14 +136,6 @@ type Engine struct {
 
 	slots []slot
 	free  int32 // free-list head, -1 when empty
-
-	// pk* cache the earliest pending event's key between peeks; the
-	// sharded engine's merged executor peeks every shard per dispatch,
-	// and the cache keeps that O(1) for shards whose head is far away.
-	pkValid bool
-	pkAt    Time
-	pkOwner int32
-	pkKey   uint64
 }
 
 // NewEngine returns an engine with an empty event queue at cycle 0.
@@ -252,72 +241,51 @@ func (e *Engine) bucketInsert(b *bucket, i int32) {
 	}
 }
 
-// enqueue places an already-filled slot into the wheel or the overflow.
+// add fills a fresh slot with the event and places it into the wheel or
+// the overflow.
 //
 //snvet:alloc-free
-func (e *Engine) enqueue(i int32) {
-	s := &e.slots[i]
-	if e.pkValid && eventLess(s.at, s.owner, s.key, e.pkAt, e.pkOwner, e.pkKey) {
-		e.pkValid = false
-	}
-	if s.at < e.base+wheelSize {
-		e.bucketInsert(&e.buckets[s.at&wheelMask], i)
-		e.wheelCount++
-	} else {
-		e.ovPush(ovEntry{at: s.at, owner: s.owner, key: s.key, idx: i})
-	}
-	e.pending++
-}
-
-//snvet:alloc-free
-func (e *Engine) schedule(at Time, fn Event, afn func(any), arg any) int32 {
+func (e *Engine) add(at Time, owner int32, key uint64, fn Event, afn func(any), arg any) int32 {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %d before now %d", at, e.now))
-	}
-	owner := e.curOwner
-	c := e.ctr(owner)
-	i := e.allocSlot()
-	s := &e.slots[i]
-	s.fn, s.afn, s.arg = fn, afn, arg
-	s.at, s.owner, s.key = at, owner, c.local
-	c.local++
-	s.canceled = false
-	e.enqueue(i)
-	return i
-}
-
-// post schedules a cross-node event: it runs in owner's context but its
-// key is derived from the sending owner's post counter, making the
-// within-cycle order shard-layout-invariant.
-//
-//snvet:alloc-free
-func (e *Engine) post(at Time, owner int32, afn func(any), arg any) {
-	e.enqueueKeyed(at, owner, e.nextRemoteKey(), nil, afn, arg)
-}
-
-// nextRemoteKey consumes the current owner's next post key.
-func (e *Engine) nextRemoteKey() uint64 {
-	c := e.ctr(e.curOwner)
-	k := remoteKey(e.curOwner, c.remote)
-	c.remote++
-	return k
-}
-
-// enqueueKeyed schedules an event carrying a pre-assigned (owner, key);
-// the sharded engine's inbox drain uses it to apply cross-shard handoffs
-// with the keys their senders computed.
-//
-//snvet:alloc-free
-func (e *Engine) enqueueKeyed(at Time, owner int32, key uint64, fn Event, afn func(any), arg any) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: post at %d before now %d", at, e.now))
 	}
 	i := e.allocSlot()
 	s := &e.slots[i]
 	s.fn, s.afn, s.arg = fn, afn, arg
 	s.at, s.owner, s.key = at, owner, key
 	s.canceled = false
-	e.enqueue(i)
+	if at < e.base+wheelSize {
+		e.bucketInsert(&e.buckets[at&wheelMask], i)
+		e.wheelCount++
+	} else {
+		e.ovPush(ovEntry{at: at, owner: owner, key: key, idx: i})
+	}
+	e.pending++
+	return i
+}
+
+// schedule enqueues a node-local event in the current owner's context,
+// keyed by that owner's local sequence.
+//
+//snvet:alloc-free
+func (e *Engine) schedule(at Time, fn Event, afn func(any), arg any) int32 {
+	c := e.ctr(e.curOwner)
+	k := c.local
+	c.local++
+	return e.add(at, e.curOwner, k, fn, afn, arg)
+}
+
+// Post schedules afn(arg) at absolute cycle at in node to's context. Its
+// key comes from the current owner's post counter, so it orders after
+// every local schedule of to in that cycle and among other posts by
+// (sending owner, send order). The network's per-hop forwarding uses it.
+//
+//snvet:alloc-free
+func (e *Engine) Post(to int, at Time, afn func(any), arg any) {
+	c := e.ctr(e.curOwner)
+	k := remoteKey(e.curOwner, c.remote)
+	c.remote++
+	e.add(at, int32(to), k, nil, afn, arg)
 }
 
 // Schedule registers fn to run at absolute cycle at. Scheduling in the past
@@ -375,7 +343,6 @@ func (c Canceler) Cancel() {
 	// Drop callback references early; the slot itself is recycled when
 	// its bucket (or the overflow) reaches it.
 	s.fn, s.afn, s.arg = nil, nil, nil
-	c.e.pkValid = false
 }
 
 // ScheduleCancelable is like Schedule but returns a Canceler. It is used
@@ -458,7 +425,6 @@ func (e *Engine) migrate() {
 // starting time if nothing ran).
 func (e *Engine) Run(until Time) Time {
 	e.stopped = false
-	e.pkValid = false
 	for e.pending > 0 && !e.stopped {
 		if e.wheelCount == 0 {
 			// Nothing inside the window: jump straight to the earliest
@@ -534,110 +500,6 @@ func (e *Engine) Run(until Time) Time {
 	return e.now
 }
 
-// AdvanceTo moves the clock to t without dispatching; t must not precede
-// now and no pending event may precede t. The sharded engine uses it to
-// keep every shard's notion of "now" aligned during merged execution and
-// when fast-forwarding empty queues.
-func (e *Engine) AdvanceTo(t Time) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: advance to %d before now %d", t, e.now))
-	}
-	e.now = t
-	if e.wheelCount == 0 && e.base < t {
-		e.base = t
-		if len(e.overflow) > 0 && e.overflow[0].at < e.base+wheelSize {
-			e.migrate()
-		}
-	}
-}
-
-// peek returns the (cycle, owner, key) of the earliest pending event
-// without dispatching it, sweeping canceled events it passes. The result
-// is cached until a mutation could change it.
-func (e *Engine) peek() (at Time, owner int32, key uint64, ok bool) {
-	if e.pkValid {
-		return e.pkAt, e.pkOwner, e.pkKey, true
-	}
-	for e.pending > 0 {
-		if e.wheelCount == 0 {
-			v := e.overflow[0]
-			if e.slots[v.idx].canceled {
-				e.ovPop()
-				e.freeSlot(v.idx)
-				e.pending--
-				continue
-			}
-			e.pkValid, e.pkAt, e.pkOwner, e.pkKey = true, v.at, v.owner, v.key
-			return v.at, v.owner, v.key, true
-		}
-		for c := e.base; ; c++ {
-			b := &e.buckets[c&wheelMask]
-			for b.head >= 0 && e.slots[b.head].canceled {
-				i := b.head
-				b.head = e.slots[i].next
-				if b.head < 0 {
-					b.tail = -1
-				}
-				e.wheelCount--
-				e.pending--
-				e.freeSlot(i)
-			}
-			if b.head >= 0 {
-				s := &e.slots[b.head]
-				e.pkValid, e.pkAt, e.pkOwner, e.pkKey = true, s.at, s.owner, s.key
-				return s.at, s.owner, s.key, true
-			}
-			if e.wheelCount == 0 {
-				break // wheel held only canceled events; retry overflow
-			}
-		}
-	}
-	return 0, 0, 0, false
-}
-
-// stepOne dispatches exactly the earliest pending event (the one peek
-// reports). The merged executor interleaves stepOne across shards in
-// global key order.
-func (e *Engine) stepOne() {
-	at, _, _, ok := e.peek()
-	if !ok {
-		return
-	}
-	e.pkValid = false
-	if at > e.base {
-		// Buckets before at are empty (peek verified); slide the window
-		// and pull overflow events the new horizon covers.
-		e.base = at
-		e.migrate()
-	}
-	b := &e.buckets[at&wheelMask]
-	for b.head >= 0 {
-		i := b.head
-		s := &e.slots[i]
-		b.head = s.next
-		if b.head < 0 {
-			b.tail = -1
-		}
-		e.wheelCount--
-		e.pending--
-		owner := s.owner
-		fn, afn, arg, canceled := s.fn, s.afn, s.arg, s.canceled
-		e.freeSlot(i)
-		if canceled {
-			continue
-		}
-		e.now = at
-		e.curOwner = owner
-		e.executed++
-		if fn != nil {
-			fn()
-		} else {
-			afn(arg)
-		}
-		return
-	}
-}
-
 // Drain discards every pending event. SafetyNet recovery uses this to model
 // draining the interconnect and discarding in-flight transaction state;
 // callers must immediately reschedule the periodic machinery (checkpoint
@@ -661,5 +523,4 @@ func (e *Engine) Drain() {
 	e.overflow = e.overflow[:0]
 	e.pending = 0
 	e.base = e.now
-	e.pkValid = false
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -305,5 +306,158 @@ func TestEngineDispatchOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEngineIntrinsicEventOrder pins the within-cycle order on a literal
+// trace: owners dispatch in ascending order with the global owner -1
+// first; an owner's local schedules — including ones made while the cycle
+// is already dispatching — fire before posts to it; and posts order by
+// (source owner, source sequence) whatever order they were made in, with
+// posts from ownerless setup code (source -1) first. The script runs once
+// inside the wheel and once far enough out to pass through the overflow
+// heap.
+func TestEngineIntrinsicEventOrder(t *testing.T) {
+	for _, at := range []Time{10, 3*wheelSize + 10} {
+		e := NewEngine()
+		var got []string
+		rec := func(tag string) func() { return func() { got = append(got, tag) } }
+		post := func(to int, tag string) {
+			e.Post(to, at, func(any) { got = append(got, tag) }, nil)
+		}
+		local := func(owner int, fn func()) {
+			prev := e.SetOwner(owner)
+			e.Schedule(at, fn)
+			e.SetOwner(prev)
+		}
+		from := func(owner int, fn func()) {
+			prev := e.SetOwner(owner)
+			fn()
+			e.SetOwner(prev)
+		}
+
+		post(2, "setup->2")
+		post(1, "setup->1")
+		from(3, func() { post(1, "3->1 #0") })
+		local(2, rec("2 local a"))
+		local(1, func() {
+			got = append(got, "1 local a")
+			e.Schedule(e.Now(), rec("1 local c (same cycle)"))
+		})
+		from(0, func() {
+			post(1, "0->1 #0")
+			post(1, "0->1 #1")
+		})
+		local(-1, rec("global a"))
+		local(1, rec("1 local b"))
+		// Owner 2 posts to 1 from an event at an earlier cycle; its key
+		// carries source 2, so it lands between sources 0 and 3.
+		prev := e.SetOwner(2)
+		e.Schedule(at-5, func() { post(1, "2->1 #0 (sent at dispatch)") })
+		e.SetOwner(prev)
+
+		e.Run(at)
+		want := []string{
+			"global a",
+			"1 local a",
+			"1 local b",
+			"1 local c (same cycle)",
+			"setup->1",
+			"0->1 #0",
+			"0->1 #1",
+			"2->1 #0 (sent at dispatch)",
+			"3->1 #0",
+			"2 local a",
+			"setup->2",
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("at=%d dispatch order\n got %q\nwant %q", at, got, want)
+		}
+	}
+}
+
+// trace records one dispatched event for order comparison.
+type trace struct {
+	At   Time
+	Node int
+	Tag  int
+}
+
+// pingWorkload drives a deterministic event mesh: every node runs a hop
+// chain that posts to its right neighbour lat cycles later, plus a
+// same-cycle local follow-up (negative tag) every third hop. drive
+// performs the Run calls, so stride tests can chop them up.
+func pingWorkload(nodes int, until, lat Time, drive func(*Engine)) []trace {
+	e := NewEngine()
+	var got []trace
+	var hop func(a any)
+	hop = func(a any) {
+		p := a.([2]int) // node, tag
+		node, tag := p[0], p[1]
+		now := e.Now()
+		got = append(got, trace{now, node, tag})
+		if now+lat > until {
+			return
+		}
+		next := (node + 1) % nodes
+		e.Post(next, now+lat, hop, [2]int{next, tag + 1})
+		if tag%3 == 0 {
+			e.Schedule(now, func() { got = append(got, trace{e.Now(), node, -tag}) })
+		}
+	}
+	for n := 0; n < nodes; n++ {
+		prev := e.SetOwner(n)
+		e.ScheduleArg(Time(1+n), hop, [2]int{n, n + 1})
+		e.SetOwner(prev)
+	}
+	drive(e)
+	return got
+}
+
+func runTo(until Time) func(*Engine) {
+	return func(e *Engine) { e.Run(until) }
+}
+
+// TestEnginePingMeshOrder pins the ping mesh's full dispatch trace: hops
+// that meet in one cycle run in owner order, whether they arrived as
+// posts or as local schedules, and each local follow-up runs right after
+// the hop that scheduled it.
+func TestEnginePingMeshOrder(t *testing.T) {
+	got := pingWorkload(3, 9, 2, runTo(9))
+	want := []trace{
+		{1, 0, 1},
+		{2, 1, 2},
+		{3, 1, 2}, {3, 2, 3}, {3, 2, -3},
+		{4, 2, 3}, {4, 2, -3},
+		{5, 0, 4}, {5, 2, 3}, {5, 2, -3},
+		{6, 0, 4},
+		{7, 0, 4}, {7, 1, 5},
+		{8, 1, 5},
+		{9, 1, 5}, {9, 2, 6},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ping trace\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestEngineStrideInvariance: chopping Run into ragged strides cannot
+// change the dispatch trace.
+func TestEngineStrideInvariance(t *testing.T) {
+	const nodes, until, lat = 6, 1500, 10
+	want := pingWorkload(nodes, until, lat, runTo(until))
+	if len(want) == 0 {
+		t.Fatal("workload produced no events")
+	}
+	got := pingWorkload(nodes, until, lat, func(e *Engine) {
+		for _, stride := range []Time{7, 13, 3, 64, 1, 999, 2, 500} {
+			if e.Now() >= until {
+				break
+			}
+			e.Run(min(e.Now()+stride, until))
+		}
+		e.Run(until)
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("strided run diverged: %d vs %d events", len(got), len(want))
 	}
 }
