@@ -8,13 +8,15 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"safetynet/internal/msg"
 )
 
 // State is a MOSI stable coherence state. Transient states live in the
-// protocol controllers (MSHRs), not in the array.
-type State int
+// protocol controllers (MSHRs), not in the array. It is one byte so a
+// Line packs into 32 bytes.
+type State uint8
 
 const (
 	// Invalid: no valid copy.
@@ -47,7 +49,8 @@ func (s State) String() string {
 // respond with data and write back on eviction).
 func (s State) IsOwner() bool { return s == Owned || s == Modified }
 
-// Line is one cache frame.
+// Line is one cache frame. A frame never installed is all zeroes, which
+// is an Invalid line, so no separate "used" flag is needed.
 type Line struct {
 	Addr  uint64
 	State State
@@ -57,7 +60,6 @@ type Line struct {
 	CN   msg.CN
 	Data uint64
 	lru  uint64
-	used bool
 }
 
 // Array is one set-associative cache level.
@@ -77,31 +79,22 @@ func NewArray(sets, ways, blockBytes int) *Array {
 	if blockBytes <= 0 || blockBytes&(blockBytes-1) != 0 {
 		panic(fmt.Sprintf("cache: block size %d not a power of two", blockBytes))
 	}
-	bits := uint(0)
-	for 1<<bits != blockBytes {
-		bits++
-	}
-	return &Array{sets: sets, ways: ways, blockBits: bits, lines: make([]Line, sets*ways)}
-}
-
-// Sets and Ways return the geometry.
-func (a *Array) Sets() int { return a.sets }
-func (a *Array) Ways() int { return a.ways }
-
-func (a *Array) setOf(addr uint64) int {
-	return int((addr >> a.blockBits) % uint64(a.sets))
+	bb := uint(bits.TrailingZeros(uint(blockBytes)))
+	return &Array{sets: sets, ways: ways, blockBits: bb, lines: make([]Line, sets*ways)}
 }
 
 func (a *Array) set(addr uint64) []Line {
-	s := a.setOf(addr)
+	s := int((addr >> a.blockBits) % uint64(a.sets))
 	return a.lines[s*a.ways : (s+1)*a.ways]
 }
 
 // Lookup returns the valid line holding addr, or nil.
+//
+//snvet:alloc-free
 func (a *Array) Lookup(addr uint64) *Line {
 	set := a.set(addr)
 	for i := range set {
-		if set[i].used && set[i].State != Invalid && set[i].Addr == addr {
+		if set[i].Addr == addr && set[i].State != Invalid {
 			return &set[i]
 		}
 	}
@@ -109,6 +102,8 @@ func (a *Array) Lookup(addr uint64) *Line {
 }
 
 // Touch refreshes the replacement age of a line (call on every access).
+//
+//snvet:alloc-free
 func (a *Array) Touch(l *Line) {
 	a.tick++
 	l.lru = a.tick
@@ -118,12 +113,14 @@ func (a *Array) Touch(l *Line) {
 // an invalid frame if one exists, otherwise the least recently used line
 // for which evictable returns true. A nil evictable accepts every line.
 // It returns nil when no frame qualifies.
+//
+//snvet:alloc-free
 func (a *Array) Victim(addr uint64, evictable func(*Line) bool) *Line {
 	set := a.set(addr)
 	var victim *Line
 	for i := range set {
 		l := &set[i]
-		if !l.used || l.State == Invalid {
+		if l.State == Invalid {
 			return l
 		}
 		if evictable != nil && !evictable(l) {
@@ -139,10 +136,12 @@ func (a *Array) Victim(addr uint64, evictable func(*Line) bool) *Line {
 // Install claims frame l for addr with the given contents, returning the
 // previous occupant (meaningful only if it was valid). The caller decides
 // what to do with a dirty victim before calling Install.
+//
+//snvet:alloc-free
 func (a *Array) Install(l *Line, addr uint64, st State, cn msg.CN, data uint64) Line {
 	old := *l
 	a.tick++
-	*l = Line{Addr: addr, State: st, CN: cn, Data: data, lru: a.tick, used: true}
+	*l = Line{Addr: addr, State: st, CN: cn, Data: data, lru: a.tick}
 	return old
 }
 
@@ -165,7 +164,7 @@ func (a *Array) InvalidateAll() {
 // (including invalidating it) but must not install new lines.
 func (a *Array) ForEachValid(f func(*Line)) {
 	for i := range a.lines {
-		if a.lines[i].used && a.lines[i].State != Invalid {
+		if a.lines[i].State != Invalid {
 			f(&a.lines[i])
 		}
 	}
@@ -175,7 +174,7 @@ func (a *Array) ForEachValid(f func(*Line)) {
 func (a *Array) CountValid() int {
 	n := 0
 	for i := range a.lines {
-		if a.lines[i].used && a.lines[i].State != Invalid {
+		if a.lines[i].State != Invalid {
 			n++
 		}
 	}

@@ -294,7 +294,7 @@ func (cc *CacheController) storeInner(addr uint64, val uint64, done func()) {
 // event. It returns ok=false when the access needs the transactional slow
 // path (miss, upgrade, writeback race, or CLB back-pressure).
 func (cc *CacheController) FastAccess(addr uint64, isStore bool, val uint64) (sim.Time, bool) {
-	if cc.wbs[addr] != nil {
+	if len(cc.wbs) != 0 && cc.wbs[addr] != nil {
 		return 0, false
 	}
 	l2 := cc.l2.Lookup(addr)
@@ -312,7 +312,8 @@ func (cc *CacheController) FastAccess(addr uint64, isStore bool, val uint64) (si
 		cc.stats.L2Hits++
 		cc.bw.HitCycles += cc.blockCycles()
 		cc.bw.FillCycles += cc.blockCycles()
-		cc.fillL1(addr)
+		// The L1 just missed, so fill its victim without fillL1's re-probe.
+		cc.l1.Install(cc.l1.Victim(addr, nil), addr, cache.Shared, msg.Null, 0)
 		return sim.Time(cc.p.L2HitCycles), true
 	}
 	if l2.State != cache.Modified {

@@ -41,6 +41,13 @@ func (r *Rand) Intn(n int) int {
 // ~n/2^64 — vanishingly rare, so existing seeded sequences are
 // unchanged in practice — but for n approaching 2^64 the bare modulo
 // would skew low residues by up to 2x.
+//
+// The accepted draws are those at or below 2^64-1 - 2^64 mod n, the top
+// of the last complete block of n residues. Since 2^64 mod n < n, a draw
+// at or below 2^64-1 - n is accepted without computing that limit, so
+// the common path costs one division.
+//
+//snvet:alloc-free
 func (r *Rand) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("sim: Uint64n with zero n")
@@ -48,16 +55,15 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 	if n&(n-1) == 0 { // power of two: mask is exact
 		return r.Uint64() & (n - 1)
 	}
-	// Largest acceptable value: the top of the last complete block of n
-	// residues. 2^64 mod n computed in 64 bits as ((2^64-1) mod n + 1) mod n.
-	excess := (^uint64(0)%n + 1) % n
-	limit := ^uint64(0) - excess
-	for {
-		v := r.Uint64()
-		if v <= limit {
-			return v % n
+	v := r.Uint64()
+	if v > ^uint64(0)-n {
+		// (-n)%n is 2^64 mod n computed in 64 bits: (2^64 - n) mod n.
+		limit := ^uint64(0) - (-n)%n
+		for v > limit {
+			v = r.Uint64()
 		}
 	}
+	return v % n
 }
 
 // Float64 returns a pseudo-random float64 in [0, 1).

@@ -118,6 +118,52 @@ func TestUint64nDistribution(t *testing.T) {
 	}
 }
 
+// uint64nThreeDivisions is the earlier formulation of Uint64n, which
+// computed the exact rejection limit with two divisions before every draw.
+func uint64nThreeDivisions(r *Rand, n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return r.Uint64() & (n - 1)
+	}
+	excess := (^uint64(0)%n + 1) % n
+	limit := ^uint64(0) - excess
+	for {
+		v := r.Uint64()
+		if v <= limit {
+			return v % n
+		}
+	}
+}
+
+// TestUint64nMatchesExactLimit pins the draw sequence: accepting early
+// below 2^64-1-n must return the same values and consume the same draws
+// as checking every draw against the exact limit. The moduli above 2^63
+// reject about half their draws, so the retry path is exercised too.
+func TestUint64nMatchesExactLimit(t *testing.T) {
+	ns := []uint64{1, 2, 3, 5, 7, 10, 100, 1000, 88_000, 1<<32 - 1, 1<<32 + 1,
+		1 << 40, 1<<62 + 3, 1<<63 - 1, 1 << 63, 1<<63 + 1, 1<<63 + 12345,
+		3 << 62, ^uint64(0) - 1, ^uint64(0)}
+	g := NewRand(42)
+	for i := 0; i < 64; i++ {
+		ns = append(ns, g.Uint64()|1<<63, g.Uint64()>>(i%64))
+	}
+	for _, n := range ns {
+		if n == 0 {
+			continue
+		}
+		for seed := uint64(0); seed < 8; seed++ {
+			got, want := NewRand(seed), NewRand(seed)
+			for i := 0; i < 200; i++ {
+				if a, b := got.Uint64n(n), uint64nThreeDivisions(want, n); a != b {
+					t.Fatalf("n=%d seed=%d draw %d: Uint64n = %d, exact-limit formula = %d", n, seed, i, a, b)
+				}
+			}
+			if got.Snapshot() != want.Snapshot() {
+				t.Fatalf("n=%d seed=%d: Uint64n consumed a different number of draws", n, seed)
+			}
+		}
+	}
+}
+
 func TestUint64nPowerOfTwo(t *testing.T) {
 	r := NewRand(5)
 	for i := 0; i < 10000; i++ {

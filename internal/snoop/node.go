@@ -133,10 +133,13 @@ func (n *Node) memData(addr uint64) uint64 {
 // line, a parked writeback, or ownership acquired at an earlier slot with
 // data still in flight.
 func (n *Node) ownsNow(addr uint64) bool {
-	if ps, ok := n.pendingData[addr]; ok && ps.owner {
-		return true
+	// Both maps are almost always empty; skip hashing the address then.
+	if len(n.pendingData) != 0 {
+		if ps := n.pendingData[addr]; ps != nil && ps.owner {
+			return true
+		}
 	}
-	if _, ok := n.wbs[addr]; ok {
+	if len(n.wbs) != 0 && n.wbs[addr] != nil {
 		return true
 	}
 	if l := n.l2.Lookup(addr); l != nil && l.State.IsOwner() {
@@ -402,7 +405,7 @@ func (n *Node) installLine(addr uint64, st cache.State, cn msg.CN, data uint64) 
 		n.sys.bus.Issue(&Request{Kind: BusPUTX, Addr: v.Addr, Requestor: n.id, Data: v.Data})
 	}
 	n.l2.Install(v, addr, st, cn, data)
-	return n.l2.Lookup(addr)
+	return v
 }
 
 // ready returns the highest checkpoint this node agrees to validate.
@@ -519,7 +522,7 @@ func (n *Node) access(op workload.Op, ep int) {
 		complete(1)
 		return
 	}
-	if _, parked := n.wbs[op.Addr]; parked {
+	if len(n.wbs) != 0 && n.wbs[op.Addr] != nil {
 		// The block is mid-writeback; retry once the PUTX broadcast
 		// orders it (nobody would respond to our request before then).
 		n.sys.eng.After(100, func() {
