@@ -45,6 +45,7 @@ func TestRunExperimentTable2(t *testing.T) {
 	if !strings.Contains(rep.Render(), "2D torus") {
 		t.Error("render missing torus row")
 	}
+	checkExperimentGolden(t, rep)
 }
 
 func TestDuplicateRegistrationPanics(t *testing.T) {
@@ -221,6 +222,9 @@ func TestNewExperimentsDeterministicUnderParallelism(t *testing.T) {
 		if len(sRep.Rows) == 0 {
 			t.Fatalf("%s: empty report", name)
 		}
+		if name == "snoopdetect" {
+			checkExperimentGolden(t, sRep)
+		}
 	}
 }
 
@@ -246,6 +250,7 @@ func TestProtocolsReportShape(t *testing.T) {
 			t.Fatalf("point %v measured no throughput: %+v", row.Labels, row.Values)
 		}
 	}
+	checkExperimentGolden(t, rep)
 }
 
 // TestRecoveryGridClampsDegeneratePeriod: a tiny measurement window must

@@ -83,6 +83,11 @@ func TestFig6ShapeMatchesPaper(t *testing.T) {
 		t.Skip("short mode")
 	}
 	r := Fig6(config.Default(), tinyOptions())
+	rep, err := RunExperiment("fig6", config.Default(), tinyOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkExperimentGolden(t, rep)
 	if len(r.Points) != len(Fig6Intervals()) {
 		t.Fatalf("points = %d", len(r.Points))
 	}
@@ -111,6 +116,11 @@ func TestFig7LoggingShrinksWithInterval(t *testing.T) {
 		t.Skip("short mode")
 	}
 	r := Fig7(config.Default(), tinyOptions())
+	rep, err := RunExperiment("fig7", config.Default(), tinyOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkExperimentGolden(t, rep)
 	first, last := r.Points[0], r.Points[len(r.Points)-1]
 	if first.LoggingFrac <= last.LoggingFrac {
 		t.Errorf("logging bandwidth must shrink with interval: %.4f -> %.4f",
@@ -137,6 +147,11 @@ func TestRecoveryExperiment(t *testing.T) {
 	o := tinyOptions()
 	o.Measure = 1_500_000
 	r := Recovery(config.Default(), o)
+	rep, err := RunExperiment("recovery", config.Default(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkExperimentGolden(t, rep)
 	if r.Recoveries == 0 {
 		t.Fatal("no recoveries observed")
 	}
@@ -159,6 +174,11 @@ func TestDetectExperiment(t *testing.T) {
 	}
 	o := tinyOptions()
 	r := Detect(config.Default(), o)
+	rep, err := RunExperiment("detect", config.Default(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkExperimentGolden(t, rep)
 	if r.Tolerance != 400_000 {
 		t.Fatalf("tolerance = %d, want 400000", r.Tolerance)
 	}
@@ -188,6 +208,11 @@ func TestFig5ShapeMatchesPaper(t *testing.T) {
 	}
 	o := runner.Options{Runs: 1, Warmup: 200_000, Measure: 500_000, BaseSeed: 1}
 	r := Fig5(config.Default(), o)
+	rep, err := RunExperiment("fig5", config.Default(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkExperimentGolden(t, rep)
 	for _, wl := range r.Workloads {
 		if _, _, crashed := r.Normalized(wl, UnprotectedWithFault); !crashed {
 			t.Errorf("%s: unprotected system survived the fault", wl)
@@ -219,6 +244,11 @@ func TestFig8BackpressureCliff(t *testing.T) {
 	}
 	o := runner.Options{Runs: 1, Warmup: 200_000, Measure: 500_000, BaseSeed: 1}
 	r := Fig8(config.Default(), o)
+	rep, err := RunExperiment("fig8", config.Default(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkExperimentGolden(t, rep)
 	big := r.Sizes[0]
 	small := r.Sizes[len(r.Sizes)-1]
 	degraded := 0

@@ -31,14 +31,14 @@ func goldenReport() *Report {
 	}
 }
 
-// Regenerate goldens with: UPDATE_GOLDEN=1 go test ./internal/harness -run TestReportGolden
+// Regenerate goldens with: UPDATE_GOLDEN=1 go test ./internal/harness
 var updateGolden = os.Getenv("UPDATE_GOLDEN") != ""
 
 func checkGolden(t *testing.T, name string, got string) {
 	t.Helper()
 	path := filepath.Join("testdata", name)
 	if updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -52,6 +52,17 @@ func checkGolden(t *testing.T, name string, got string) {
 	if got != string(want) {
 		t.Errorf("%s mismatch:\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
 	}
+}
+
+// checkExperimentGolden pins a report, as RunExperiment returned it,
+// against testdata/experiments/<experiment>.golden.json.
+func checkExperimentGolden(t *testing.T, rep *Report) {
+	t.Helper()
+	j, err := rep.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, filepath.Join("experiments", rep.Experiment+".golden.json"), string(j)+"\n")
 }
 
 func TestReportGoldenJSON(t *testing.T) {
