@@ -25,11 +25,21 @@ func benchOptions() runner.Options {
 	return runner.Options{Runs: 1, Warmup: 200_000, Measure: 600_000, BaseSeed: 1}
 }
 
+// runBenchExperiment runs one catalog experiment, failing the benchmark
+// on an unknown name.
+func runBenchExperiment(b *testing.B, name string, o runner.Options) *harness.Report {
+	b.Helper()
+	rep, err := harness.RunExperiment(name, config.Default(), o)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rep
+}
+
 // BenchmarkTable2SystemParameters renders the Table 2 configuration.
 func BenchmarkTable2SystemParameters(b *testing.B) {
-	cfg := config.Default()
 	for i := 0; i < b.N; i++ {
-		if out := harness.Table2(cfg); len(out) == 0 {
+		if out := runBenchExperiment(b, "table2", benchOptions()).Render(); len(out) == 0 {
 			b.Fatal("empty table")
 		}
 	}
@@ -41,17 +51,21 @@ func BenchmarkTable2SystemParameters(b *testing.B) {
 // number of unprotected bars that crashed (paper: all five).
 func BenchmarkFig5PerformanceEvaluation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := harness.Fig5(config.Default(), benchOptions())
+		rep := runBenchExperiment(b, "fig5", benchOptions())
 		var snSum float64
-		crashes := 0
-		for _, wl := range r.Workloads {
-			m, _, _ := r.Normalized(wl, harness.SafetyNetFaultFree)
-			snSum += m
-			if _, _, crashed := r.Normalized(wl, harness.UnprotectedWithFault); crashed {
-				crashes++
+		workloads, crashes := 0, 0
+		for _, row := range rep.Rows {
+			switch row.Labels[1] {
+			case "SafetyNet fault-free":
+				snSum += row.Values[0].Mean
+				workloads++
+			case "Unprotected with fault":
+				if row.Values[0].Crashed {
+					crashes++
+				}
 			}
 		}
-		b.ReportMetric(snSum/float64(len(r.Workloads)), "safetynet-norm-perf")
+		b.ReportMetric(snSum/float64(workloads), "safetynet-norm-perf")
 		b.ReportMetric(float64(crashes), "unprotected-crashes")
 	}
 }
@@ -61,13 +75,14 @@ func BenchmarkFig5PerformanceEvaluation(b *testing.B) {
 // the 1M-cycle interval (paper: one to two orders of magnitude).
 func BenchmarkFig6LoggingFrequency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := harness.Fig6(config.Default(), benchOptions())
-		first := r.Points[0]
-		last := r.Points[len(r.Points)-1]
-		if last.StoresCLBPer1000 > 0 {
-			b.ReportMetric(first.StoresCLBPer1000/last.StoresCLBPer1000, "logging-falloff-x")
+		rep := runBenchExperiment(b, "fig6", benchOptions())
+		// Columns: all stores, all coh reqs, stores->CLB, coh reqs->CLB.
+		first := rep.Rows[0].Values
+		last := rep.Rows[len(rep.Rows)-1].Values
+		if last[2].Mean > 0 {
+			b.ReportMetric(first[2].Mean/last[2].Mean, "logging-falloff-x")
 		}
-		b.ReportMetric(first.StoresPer1000, "stores-per-1k-instr")
+		b.ReportMetric(first[0].Mean, "stores-per-1k-instr")
 	}
 }
 
@@ -76,9 +91,10 @@ func BenchmarkFig6LoggingFrequency(b *testing.B) {
 // (paper: ~4% down to ~0.3%).
 func BenchmarkFig7CacheBandwidth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := harness.Fig7(config.Default(), benchOptions())
-		b.ReportMetric(100*r.Points[0].LoggingFrac, "logging-bw-pct-10k")
-		b.ReportMetric(100*r.Points[len(r.Points)-1].LoggingFrac, "logging-bw-pct-1M")
+		rep := runBenchExperiment(b, "fig7", benchOptions())
+		// Columns: hits, fills, coherence, logging (percent).
+		b.ReportMetric(rep.Rows[0].Values[3].Mean, "logging-bw-pct-10k")
+		b.ReportMetric(rep.Rows[len(rep.Rows)-1].Values[3].Mean, "logging-bw-pct-1M")
 	}
 }
 
@@ -87,11 +103,11 @@ func BenchmarkFig7CacheBandwidth(b *testing.B) {
 // workloads through log back-pressure).
 func BenchmarkFig8CLBSizing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := harness.Fig8(config.Default(), benchOptions())
-		small := r.Sizes[len(r.Sizes)-1]
+		rep := runBenchExperiment(b, "fig8", benchOptions())
 		var worst = 1.0
-		for _, wl := range r.Workloads {
-			if m, _ := r.Normalized(wl, small); m < worst {
+		for _, row := range rep.Rows {
+			// The last column is the smallest CLB.
+			if m := row.Values[len(row.Values)-1].Mean; m < worst {
 				worst = m
 			}
 		}
@@ -105,9 +121,10 @@ func BenchmarkRecoverySpeedBump(b *testing.B) {
 	o := benchOptions()
 	o.Measure = 1_500_000
 	for i := 0; i < b.N; i++ {
-		r := harness.Recovery(config.Default(), o)
-		b.ReportMetric(r.CoordCycles.Mean(), "recovery-coord-cycles")
-		b.ReportMetric(r.LostInstrsPerRecovery, "lost-instrs-per-recovery")
+		rep := runBenchExperiment(b, "recovery", o)
+		// Rows: recoveries, coordination latency, lost work per recovery, ...
+		b.ReportMetric(rep.Rows[1].Values[0].Mean, "recovery-coord-cycles")
+		b.ReportMetric(rep.Rows[2].Values[0].Mean, "lost-instrs-per-recovery")
 	}
 }
 
@@ -115,10 +132,11 @@ func BenchmarkRecoverySpeedBump(b *testing.B) {
 // detection-latency sweep (paper §3.4: up to 400k cycles tolerated).
 func BenchmarkDetectionToleranceSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := harness.Detect(config.Default(), benchOptions())
+		rep := runBenchExperiment(b, "detect", benchOptions())
 		recovered := 0
-		for _, pt := range r.Points {
-			if pt.Recovered && !pt.Crashed {
+		for _, row := range rep.Rows {
+			// Labels: detection latency, recovered, crashed.
+			if row.Labels[1] == "true" && row.Labels[2] == "false" {
 				recovered++
 			}
 		}

@@ -1,8 +1,8 @@
 // Command snbench regenerates the paper's evaluation from the experiment
-// registry: every table and figure of §4, printed as text, JSON, or CSV.
+// catalog: every table and figure of §4, printed as text, JSON, or CSV.
 //
 //	snbench                          # full suite (several minutes)
-//	snbench -list                    # enumerate registered experiments
+//	snbench -list                    # enumerate the experiment catalog
 //	snbench -quick                   # single-run, short-window suite
 //	snbench -exp fig6                # one experiment
 //	snbench -exp fig6 -format json   # structured output
@@ -34,7 +34,7 @@ func run() int {
 	var (
 		exp        = flag.String("exp", "all", "experiment name (see -list), or all")
 		scenFile   = flag.String("scenario", "", "run one declarative scenario file and print its result")
-		list       = flag.Bool("list", false, "list registered experiments and exit")
+		list       = flag.Bool("list", false, "list the experiment catalog and exit")
 		quick      = flag.Bool("quick", false, "single-run, short-window sizing")
 		runs       = flag.Int("runs", 0, "override the number of perturbed runs per point")
 		par        = flag.Int("j", runtime.NumCPU(), "simulations run in parallel (1 = serial)")

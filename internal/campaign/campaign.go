@@ -9,10 +9,10 @@
 // bootstrap confidence intervals plus per-axis breakdowns — whose
 // encoding is byte-identical at any worker count.
 //
-// The experiment registry's fixed grids are the special case: a
-// campaign is the general substrate, and internal/harness expands
-// campaign definitions into its design-point grids (see the recovery
-// and protocols experiments).
+// Campaign JSON is the public way to define a new sweep. The paper's
+// experiment catalog (internal/harness) is a fixed set of grids beside
+// it; two of its entries, recovery and protocols, are campaign
+// definitions that harness expands into its design-point grids.
 package campaign
 
 import (

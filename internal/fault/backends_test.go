@@ -99,7 +99,7 @@ func TestCorruptLossAccountingMatchesAcrossBackends(t *testing.T) {
 }
 
 // TestSnoopPlanThroughSharedPath arms a composed plan on the snoop
-// backend through Plan.Arm, mirroring what harness.Run does.
+// backend through Plan.Arm, mirroring what runner.RunCtx does.
 func TestSnoopPlanThroughSharedPath(t *testing.T) {
 	sn := snoop.New(snoop.DefaultConfig(), workload.Stress())
 	plan := fault.Plan{

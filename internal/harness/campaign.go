@@ -11,7 +11,7 @@ import (
 // one Point per expanded run, labeled with the run's matrix position,
 // with the run's configuration assembled over the caller's base
 // parameters (scenario.ParamsFrom) rather than the Table 2 defaults.
-// This is how registry experiments become thin campaign declarations —
+// This is how catalog experiments become thin campaign declarations —
 // the campaign layer owns expansion and labeling, the experiment keeps
 // only its reduce step.
 func campaignPoints(c *campaign.Campaign, base config.Params) []Point {
@@ -19,7 +19,7 @@ func campaignPoints(c *campaign.Campaign, base config.Params) []Point {
 	if err != nil {
 		// A grid function cannot return an error; surface the defective
 		// definition as a single run that reports the cause as a crash
-		// instead of panicking inside the registry.
+		// instead of panicking inside RunExperiment.
 		return []Point{{
 			Labels: map[string]string{"error": err.Error()},
 			Run:    runner.RunConfig{Workload: "invalid campaign: " + err.Error()},

@@ -2,32 +2,20 @@ package harness
 
 import (
 	"fmt"
-	"safetynet/internal/runner"
 	"strconv"
 
 	"safetynet/internal/config"
 	"safetynet/internal/fault"
+	"safetynet/internal/runner"
 	"safetynet/internal/sim"
 )
 
-// DetectPoint is one detection-latency design point.
-type DetectPoint struct {
-	DetectionCycles uint64
-	Recovered       bool
-	Crashed         bool
-	IPC             float64
-}
-
-// DetectResult demonstrates §3.4/§4: with four outstanding 100k-cycle
-// checkpoints, SafetyNet tolerates fault-detection latencies up to 400k
-// cycles; the request timeout models the detection mechanism's latency.
-// Longer detection latencies still recover (validation simply stalls and
-// execution backpressures), at growing throughput cost.
-type DetectResult struct {
-	Workload  string
-	Tolerance uint64
-	Points    []DetectPoint
-}
+// The detect experiment demonstrates §3.4/§4: with four outstanding
+// 100k-cycle checkpoints, SafetyNet tolerates fault-detection latencies
+// up to 400k cycles; the request timeout models the detection
+// mechanism's latency. Longer detection latencies still recover
+// (validation simply stalls and execution backpressures), at growing
+// throughput cost.
 
 const detectWorkload = "jbb"
 
@@ -60,62 +48,27 @@ func detectGrid(base config.Params, o runner.Options) []Point {
 	return pts
 }
 
-func detectFold(base config.Params, pts []Point, res []runner.RunResult) *DetectResult {
-	r := &DetectResult{Workload: detectWorkload, Tolerance: base.DetectionToleranceCycles()}
-	for i, pt := range pts {
-		d, _ := strconv.ParseUint(pt.Label("detect"), 10, 64)
-		r.Points = append(r.Points, DetectPoint{
-			DetectionCycles: d,
-			Recovered:       res[i].Recoveries > 0,
-			Crashed:         res[i].Crashed,
-			IPC:             res[i].IPC,
-		})
-	}
-	return r
-}
-
-// Detect sweeps the detection (timeout) latency with a single injected
-// transient fault.
-func Detect(base config.Params, o runner.Options) *DetectResult {
-	pts := detectGrid(base, o)
-	return detectFold(base, pts, RunPoints(pts, o.Workers))
-}
-
-// Report converts the result to its structured form.
-func (r *DetectResult) Report() *Report {
+// detectReduce reports, per detection latency, whether the fault
+// recovered, whether the run crashed, and its throughput.
+func detectReduce(base config.Params, _ runner.Options, pts []Point, res []runner.RunResult) *Report {
 	rep := &Report{
-		Experiment: "detect",
-		Title:      fmt.Sprintf("Detection-latency tolerance (configured tolerance: %d cycles)", r.Tolerance),
-		LabelCols:  []string{"detection latency", "recovered", "crashed"},
-		ValueCols:  []string{"aggregate IPC"},
+		Title:     fmt.Sprintf("Detection-latency tolerance (configured tolerance: %d cycles)", base.DetectionToleranceCycles()),
+		LabelCols: []string{"detection latency", "recovered", "crashed"},
+		ValueCols: []string{"aggregate IPC"},
 		Notes: []string{
 			"(paper: 4 outstanding 100k-cycle checkpoints tolerate 400k cycles = 0.4 ms of detection latency)",
 		},
 	}
-	for _, pt := range r.Points {
+	for i, pt := range pts {
+		d, _ := strconv.ParseUint(pt.Label("detect"), 10, 64)
 		rep.Rows = append(rep.Rows, Row{
 			Labels: []string{
-				fmt.Sprintf("%dk cycles", pt.DetectionCycles/1000),
-				strconv.FormatBool(pt.Recovered),
-				strconv.FormatBool(pt.Crashed),
+				fmt.Sprintf("%dk cycles", d/1000),
+				strconv.FormatBool(res[i].Recoveries > 0),
+				strconv.FormatBool(res[i].Crashed),
 			},
-			Values: []Value{Scalar(pt.IPC)},
+			Values: []Value{Scalar(res[i].IPC)},
 		})
 	}
 	return rep
-}
-
-// Render prints the sweep.
-func (r *DetectResult) Render() string { return r.Report().Render() }
-
-func init() {
-	NewExperiment("detect",
-		"Detection-latency tolerance",
-		"recovery behavior and throughput as fault-detection latency grows (§3.4)").
-		Order(6).
-		Grid(detectGrid).
-		Reduce(func(base config.Params, _ runner.Options, pts []Point, res []runner.RunResult) *Report {
-			return detectFold(base, pts, res).Report()
-		}).
-		MustRegister()
 }

@@ -2,9 +2,8 @@ package harness
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 
 	"safetynet/internal/config"
 	"safetynet/internal/runner"
@@ -25,13 +24,11 @@ func (p Point) Label(key string) string { return p.Labels[key] }
 // concrete runs expanded from the base configuration and options, and a
 // reduce step folding the grid's results into a structured Report.
 type Experiment struct {
-	// Name is the registry key (e.g. "fig6"); Title and Description are
+	// Name is the catalog key (e.g. "fig6"); Title and Description are
 	// for humans.
 	Name        string
 	Title       string
 	Description string
-	// Order sorts the catalog listing (paper order, not name order).
-	Order int
 	// Grid expands the experiment into concrete runs. Nil means the
 	// experiment needs no simulation (table2 prints parameters).
 	Grid func(base config.Params, o runner.Options) []Point
@@ -40,169 +37,71 @@ type Experiment struct {
 	Reduce func(base config.Params, o runner.Options, pts []Point, res []runner.RunResult) *Report
 }
 
-// Run expands the grid, executes every point (fanning across
-// o.Workers workers), and reduces the results. Degenerate option
-// sizing is clamped first (see Options.sanitized).
-func (e Experiment) Run(base config.Params, o runner.Options) *Report {
-	o = o.Sanitized()
-	var pts []Point
-	if e.Grid != nil {
-		pts = e.Grid(base, o)
-	}
-	res := RunPoints(pts, o.Workers)
-	rep := e.Reduce(base, o, pts, res)
-	rep.Experiment = e.Name
-	if rep.Title == "" {
-		rep.Title = e.Title
-	}
-	return rep
+// catalog is every experiment of the evaluation, in paper order.
+var catalog = []Experiment{
+	{Name: "table2", Title: "Table 2: Target System Parameters",
+		Description: "the simulated target-system parameters (no simulation runs)",
+		Reduce:      table2Reduce},
+	{Name: "fig5", Title: "Figure 5: Performance Evaluation of SafetyNet",
+		Description: "normalized performance of Experiments 1-3 across the five paper workloads",
+		Grid:        fig5Grid, Reduce: fig5Reduce},
+	{Name: "fig6", Title: "Figure 6: Frequencies of Stores and Coherence Requests",
+		Description: "store/coherence event rates and their logged subsets vs checkpoint interval",
+		Grid:        intervalGrid, Reduce: fig6Reduce},
+	{Name: "fig7", Title: "Figure 7: Cache Bandwidth vs Checkpoint Interval",
+		Description: "cache-port occupancy split across hits, fills, coherence, and logging",
+		Grid:        intervalGrid, Reduce: fig7Reduce},
+	{Name: "fig8", Title: "Figure 8: Performance vs CLB Size",
+		Description: "performance degradation from CLB back-pressure as buffer capacity shrinks",
+		Grid:        fig8Grid, Reduce: fig8Reduce},
+	{Name: "recovery", Title: "Recovery latency",
+		Description: "recovery coordination latency and lost work under periodic transient faults (§4.2)",
+		Grid:        recoveryGrid, Reduce: recoveryReduce},
+	{Name: "detect", Title: "Detection-latency tolerance",
+		Description: "recovery behavior and throughput as fault-detection latency grows (§3.4)",
+		Grid:        detectGrid, Reduce: detectReduce},
+	{Name: "snoopdetect", Title: "Detection latency on the snooping backend",
+		Description: "detection/recovery latency sweep on the ordered snooping interconnect (fn. 1, §2.3)",
+		Grid:        snoopDetectGrid, Reduce: snoopDetectReduce},
+	{Name: "protocols", Title: "Two protocols, one harness",
+		Description: "side-by-side directory vs snooping IPC and logging overhead across the five paper workloads",
+		Grid:        protocolsGrid, Reduce: protocolsReduce},
 }
 
-// RunPoints executes every point and returns results in point order.
-// Each run owns its own deterministic engine, machine, and RNG, so runs
-// are independent and the result for a given point is identical whether
-// it executed serially or on a worker pool (runner.RunAll).
-func RunPoints(pts []Point, parallelism int) []runner.RunResult {
-	rcs := make([]runner.RunConfig, len(pts))
-	for i := range pts {
-		rcs[i] = pts[i].Run
-	}
-	return runner.RunAll(rcs, parallelism)
-}
+// Experiments returns every experiment in catalog (paper) order.
+func Experiments() []Experiment { return slices.Clone(catalog) }
 
-// ---------------------------------------------------------------------
-// Registry
-// ---------------------------------------------------------------------
-
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Experiment{}
-)
-
-// register adds an experiment to the package registry, reporting invalid
-// descriptors and duplicate names.
-func register(e Experiment) error {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if e.Name == "" || e.Reduce == nil {
-		return fmt.Errorf("harness: experiment needs a name and a reduce step")
-	}
-	if _, dup := registry[e.Name]; dup {
-		return fmt.Errorf("harness: duplicate experiment %q", e.Name)
-	}
-	registry[e.Name] = e
-	return nil
-}
-
-// Register adds an experiment to the package registry. Registering a
-// duplicate name panics (programming error: two files claimed one
-// figure); external packages should prefer the builder's error-returning
-// Register.
-func Register(e Experiment) {
-	if err := register(e); err != nil {
-		panic(err)
-	}
-}
-
-// ---------------------------------------------------------------------
-// Builder
-// ---------------------------------------------------------------------
-
-// Builder assembles one experiment for registration. It is the single
-// definition path — every built-in table and figure registers through it,
-// and the facade re-exports it (safetynet.NewExperiment) so external
-// packages define experiments the same way:
-//
-//	harness.NewExperiment("myexp", "My Experiment", "what it measures").
-//		Order(100).
-//		Grid(func(base config.Params, o runner.Options) []Point { ... }).
-//		Reduce(func(base config.Params, o runner.Options, pts []Point, res []runner.RunResult) *Report { ... }).
-//		Register()
-type Builder struct {
-	e Experiment
-}
-
-// NewExperiment starts building an experiment with the given registry
-// key, human-readable title, and one-line description.
-func NewExperiment(name, title, description string) *Builder {
-	return &Builder{e: Experiment{Name: name, Title: title, Description: description, Order: 1 << 20}}
-}
-
-// Order sets the catalog position (paper order); unset experiments list
-// after every ordered one.
-func (b *Builder) Order(n int) *Builder {
-	b.e.Order = n
-	return b
-}
-
-// Grid sets the design-point expansion. Experiments without a grid run
-// no simulations (their Reduce renders static content, like table2).
-func (b *Builder) Grid(g func(base config.Params, o runner.Options) []Point) *Builder {
-	b.e.Grid = g
-	return b
-}
-
-// Reduce sets the fold from grid results to the structured report.
-// Required.
-func (b *Builder) Reduce(r func(base config.Params, o runner.Options, pts []Point, res []runner.RunResult) *Report) *Builder {
-	b.e.Reduce = r
-	return b
-}
-
-// Register adds the experiment to the registry, reporting an incomplete
-// descriptor or a duplicate name as an error.
-func (b *Builder) Register() error { return register(b.e) }
-
-// MustRegister registers and panics on error; the built-in experiments
-// use it from init, where a failure is a programming error.
-func (b *Builder) MustRegister() {
-	if err := b.Register(); err != nil {
-		panic(err)
-	}
-}
-
-// Get returns the named experiment.
-func Get(name string) (Experiment, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	e, ok := registry[name]
-	return e, ok
-}
-
-// Experiments returns every registered experiment in catalog order.
-func Experiments() []Experiment {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]Experiment, 0, len(registry))
-	for _, e := range registry {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Order != out[j].Order {
-			return out[i].Order < out[j].Order
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}
-
-// Names returns the registered experiment names in catalog order.
+// Names returns the experiment names in catalog order.
 func Names() []string {
-	exps := Experiments()
-	names := make([]string, len(exps))
-	for i, e := range exps {
+	names := make([]string, len(catalog))
+	for i, e := range catalog {
 		names[i] = e.Name
 	}
 	return names
 }
 
 // RunExperiment runs the named experiment against the base
-// configuration. Unknown names list the valid ones.
+// configuration: it clamps degenerate option sizing (see
+// runner.Options.Sanitized), expands the grid, executes every point on
+// o.Workers workers (runner.RunAll: results in grid order at any worker
+// count), and reduces the results. Unknown names list the valid ones.
 func RunExperiment(name string, base config.Params, o runner.Options) (*Report, error) {
-	e, ok := Get(name)
-	if !ok {
+	i := slices.IndexFunc(catalog, func(e Experiment) bool { return e.Name == name })
+	if i < 0 {
 		return nil, fmt.Errorf("unknown experiment %q (have %s)",
 			name, strings.Join(Names(), ", "))
 	}
-	return e.Run(base, o), nil
+	e := catalog[i]
+	o = o.Sanitized()
+	var pts []Point
+	if e.Grid != nil {
+		pts = e.Grid(base, o)
+	}
+	rcs := make([]runner.RunConfig, len(pts))
+	for i := range pts {
+		rcs[i] = pts[i].Run
+	}
+	rep := e.Reduce(base, o, pts, runner.RunAll(rcs, o.Workers))
+	rep.Experiment = e.Name
+	return rep, nil
 }

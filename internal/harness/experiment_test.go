@@ -48,17 +48,6 @@ func TestRunExperimentTable2(t *testing.T) {
 	checkExperimentGolden(t, rep)
 }
 
-func TestDuplicateRegistrationPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration must panic")
-		}
-	}()
-	Register(Experiment{Name: "fig5", Reduce: func(config.Params, runner.Options, []Point, []runner.RunResult) *Report {
-		return &Report{}
-	}})
-}
-
 // multiFaultPlan layers periodic message drops with a half-switch kill —
 // a combination the old flat fault descriptor could not express.
 func multiFaultPlan() fault.Plan {
@@ -100,8 +89,8 @@ func TestRunInvalidFaultPlanReportsCrash(t *testing.T) {
 	}
 }
 
-// tinyExperiment is a small unregistered experiment exercising the grid,
-// runner and reduce machinery quickly across two workloads.
+// tinyExperiment is a small experiment outside the catalog, exercising
+// the grid, runner and reduce machinery quickly across two workloads.
 func tinyExperiment() Experiment {
 	return Experiment{
 		Name:  "tiny",
@@ -139,13 +128,17 @@ func TestParallelRunsAreDeterministic(t *testing.T) {
 	o := runner.Options{Runs: 1, Warmup: 80_000, Measure: 200_000, BaseSeed: 1}
 	e := tinyExperiment()
 	pts := e.Grid(base, o)
+	rcs := make([]runner.RunConfig, len(pts))
+	for i := range pts {
+		rcs[i] = pts[i].Run
+	}
 
 	// The runner must produce identical per-point results in point order
 	// regardless of scheduling.
-	sRes := RunPoints(pts, 1)
-	pRes := RunPoints(pts, 4)
+	sRes := runner.RunAll(rcs, 1)
+	pRes := runner.RunAll(rcs, 4)
 	if !reflect.DeepEqual(sRes, pRes) {
-		t.Fatal("RunPoints results differ between serial and parallel execution")
+		t.Fatal("RunAll results differ between serial and parallel execution")
 	}
 
 	sText := e.Reduce(base, o, pts, sRes).Render()

@@ -2,35 +2,16 @@ package harness
 
 import (
 	"fmt"
-	"safetynet/internal/runner"
 
 	"safetynet/internal/config"
+	"safetynet/internal/runner"
 	"safetynet/internal/sim"
 	"safetynet/internal/stats"
 )
 
-// Fig6Point is one checkpoint-interval design point: events per 1000
-// instructions (paper Figure 6, log-log).
-type Fig6Point struct {
-	IntervalCycles uint64
-	// Stores and CoherenceReqs are "all stores" and "all coherence
-	// requests".
-	StoresPer1000, CoherencePer1000 float64
-	// StoresCLB and CoherenceCLB are the subsets that appended a CLB
-	// entry.
-	StoresCLBPer1000, CoherenceCLBPer1000 float64
-}
-
-// Fig6Result is the sweep over checkpoint intervals for one workload
-// (the paper uses the static web server; trends match for all).
-type Fig6Result struct {
-	Workload  string
-	Intervals []uint64
-	Points    []Fig6Point
-}
-
-// Fig6Intervals are the sweep points (10k to 1M cycles, log spaced).
-func Fig6Intervals() []uint64 {
+// fig6Intervals are the checkpoint-interval sweep points of Figures 6
+// and 7 (10k to 1M cycles, log spaced).
+func fig6Intervals() []uint64 {
 	return []uint64{10_000, 50_000, 100_000, 500_000, 1_000_000}
 }
 
@@ -54,12 +35,16 @@ func intervalMeasure(o runner.Options, iv uint64) sim.Time {
 	return o.Measure
 }
 
+// fig6Workload is the swept workload of Figures 6 and 7 (the paper uses
+// the static web server; trends match for all).
 const fig6Workload = "apache"
 
-// fig6Grid expands the interval sweep: one run per interval.
-func fig6Grid(base config.Params, o runner.Options) []Point {
+// intervalGrid expands the interval sweep of Figures 6 and 7: one run
+// per interval. The two figures measure different quantities of the
+// same points.
+func intervalGrid(base config.Params, o runner.Options) []Point {
 	var pts []Point
-	for _, iv := range Fig6Intervals() {
+	for _, iv := range fig6Intervals() {
 		pts = append(pts, Point{
 			Labels: map[string]string{"interval": fmt.Sprintf("%dk", iv/1000)},
 			Run: runner.RunConfig{
@@ -73,71 +58,37 @@ func fig6Grid(base config.Params, o runner.Options) []Point {
 	return pts
 }
 
-func fig6Fold(pts []Point, res []runner.RunResult) *Fig6Result {
-	r := &Fig6Result{Workload: fig6Workload, Intervals: Fig6Intervals()}
-	for i := range pts {
+// fig6Reduce reports, per interval, all stores and all coherence
+// requests per 1000 instructions, and the subsets of each that appended
+// a CLB entry (paper Figure 6, log-log).
+func fig6Reduce(_ config.Params, _ runner.Options, pts []Point, res []runner.RunResult) *Report {
+	rep := &Report{
+		Title:     "Figure 6: Frequencies of Stores and Coherence Requests (" + fig6Workload + ")",
+		Subtitle:  "(events per 1000 instructions vs checkpoint interval)",
+		LabelCols: []string{"interval"},
+		ValueCols: []string{"all stores", "all coh reqs", "stores->CLB", "coh reqs->CLB"},
+		ValueFmt:  []string{"%.1f", "%.1f", "%.2f", "%.2f"},
+	}
+	for i, pt := range pts {
 		k := float64(res[i].Instrs) / 1000
 		if k == 0 {
 			k = 1
 		}
-		r.Points = append(r.Points, Fig6Point{
-			IntervalCycles:      pts[i].Run.Params.CheckpointIntervalCycles,
-			StoresPer1000:       float64(res[i].StoresTotal) / k,
-			CoherencePer1000:    float64(res[i].CoherenceReqs) / k,
-			StoresCLBPer1000:    float64(res[i].StoresLogged) / k,
-			CoherenceCLBPer1000: float64(res[i].TransfersLogged+res[i].DirLogged) / k,
-		})
-	}
-	return r
-}
-
-// Fig6 sweeps the checkpoint interval and measures store/coherence
-// frequencies and how many of each require logging.
-func Fig6(base config.Params, o runner.Options) *Fig6Result {
-	pts := fig6Grid(base, o)
-	return fig6Fold(pts, RunPoints(pts, o.Workers))
-}
-
-// Report converts the result to its structured form.
-func (r *Fig6Result) Report() *Report {
-	rep := &Report{
-		Experiment: "fig6",
-		Title:      "Figure 6: Frequencies of Stores and Coherence Requests (" + r.Workload + ")",
-		Subtitle:   "(events per 1000 instructions vs checkpoint interval)",
-		LabelCols:  []string{"interval"},
-		ValueCols:  []string{"all stores", "all coh reqs", "stores->CLB", "coh reqs->CLB"},
-		ValueFmt:   []string{"%.1f", "%.1f", "%.2f", "%.2f"},
-	}
-	for _, pt := range r.Points {
 		rep.Rows = append(rep.Rows, Row{
-			Labels: []string{fmt.Sprintf("%dk", pt.IntervalCycles/1000)},
+			Labels: []string{pt.Label("interval")},
 			Values: []Value{
-				Scalar(pt.StoresPer1000), Scalar(pt.CoherencePer1000),
-				Scalar(pt.StoresCLBPer1000), Scalar(pt.CoherenceCLBPer1000),
+				Scalar(float64(res[i].StoresTotal) / k),
+				Scalar(float64(res[i].CoherenceReqs) / k),
+				Scalar(float64(res[i].StoresLogged) / k),
+				Scalar(float64(res[i].TransfersLogged+res[i].DirLogged) / k),
 			},
 		})
 	}
-	if len(r.Points) > 0 {
-		first, last := r.Points[0], r.Points[len(r.Points)-1]
+	if n := len(rep.Rows); n > 0 {
 		rep.Notes = append(rep.Notes, fmt.Sprintf(
-			"stores->CLB falloff %.1fx from %dk to %dk cycles (paper: one to two orders of magnitude)",
-			stats.SafeDiv(first.StoresCLBPer1000, last.StoresCLBPer1000),
-			first.IntervalCycles/1000, last.IntervalCycles/1000))
+			"stores->CLB falloff %.1fx from %s to %s cycles (paper: one to two orders of magnitude)",
+			stats.SafeDiv(rep.Rows[0].Values[2].Mean, rep.Rows[n-1].Values[2].Mean),
+			rep.Rows[0].Labels[0], rep.Rows[n-1].Labels[0]))
 	}
 	return rep
-}
-
-// Render prints the four series.
-func (r *Fig6Result) Render() string { return r.Report().Render() }
-
-func init() {
-	NewExperiment("fig6",
-		"Figure 6: Frequencies of Stores and Coherence Requests",
-		"store/coherence event rates and their logged subsets vs checkpoint interval").
-		Order(2).
-		Grid(fig6Grid).
-		Reduce(func(_ config.Params, _ runner.Options, pts []Point, res []runner.RunResult) *Report {
-			return fig6Fold(pts, res).Report()
-		}).
-		MustRegister()
 }

@@ -1,11 +1,14 @@
-// Package harness regenerates the paper's evaluation (§4) through a
-// registry of declarative experiments: each table and figure declares a
-// grid of design points (runner.RunConfigs) and a reduce step folding
-// the measured results into a structured Report that renders as text
-// and marshals to JSON and CSV. Points run independently — every run
-// owns its own deterministic engine — so the runner fans them across a
-// worker pool without changing any result. cmd/snbench and the
-// repository's benchmarks are thin wrappers around this package.
+// Package harness regenerates the paper's evaluation (§4) from a fixed
+// catalog of experiments: Table 2, Figures 5-8, recovery latency,
+// detection tolerance, and the snooping and two-protocol variants. Each
+// entry declares a grid of design points (runner.RunConfigs) and a
+// reduce step folding the measured results into a structured Report
+// that renders as text and marshals to JSON and CSV. RunExperiment is
+// the one way to run an entry. Points run independently — every run
+// owns its own deterministic engine — so runner.RunAll fans them across
+// a worker pool without changing any result. cmd/snbench and the
+// repository's benchmarks are thin wrappers around this package; new
+// sweeps are campaign JSON (internal/campaign), not catalog entries.
 //
 // The single-run executor, the worker pool, and the sweep sizing
 // (runner.Options) live one layer down, in internal/runner, which this
@@ -18,7 +21,6 @@ package harness
 import (
 	"safetynet/internal/config"
 	"safetynet/internal/runner"
-	"safetynet/internal/topology"
 )
 
 // perturbSeedStride spaces the perturbed-run seeds; campaign seed
@@ -33,11 +35,6 @@ func perturbed(p config.Params, o runner.Options, i int) config.Params {
 	return p
 }
 
-// victimSwitch is the half-switch killed in Experiment 3; node 5's
-// east-west half sits on busy central routes of the 4x4 torus.
+// victimSwitchNode is the node whose east-west half-switch Experiment 3
+// kills; it sits on busy central routes of the 4x4 torus.
 const victimSwitchNode = 5
-
-// VictimSwitch returns the half-switch Experiment 3 kills.
-func VictimSwitch(t *topology.Torus) topology.SwitchID {
-	return t.EWSwitch(victimSwitchNode)
-}

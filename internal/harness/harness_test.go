@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"safetynet/internal/fault"
 	"safetynet/internal/runner"
 	"safetynet/internal/sim"
+	"safetynet/internal/workload"
 )
 
 // tinyOptions keeps harness tests fast while still covering several
@@ -78,35 +80,57 @@ func TestRunFaultPlans(t *testing.T) {
 	}
 }
 
-func TestFig6ShapeMatchesPaper(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	r := Fig6(config.Default(), tinyOptions())
-	rep, err := RunExperiment("fig6", config.Default(), tinyOptions())
+// runGolden runs one catalog experiment and checks its report against
+// the experiment's golden.
+func runGolden(t *testing.T, name string, o runner.Options) *Report {
+	t.Helper()
+	rep, err := RunExperiment(name, config.Default(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkExperimentGolden(t, rep)
-	if len(r.Points) != len(Fig6Intervals()) {
-		t.Fatalf("points = %d", len(r.Points))
-	}
-	first, last := r.Points[0], r.Points[len(r.Points)-1]
-	// "All stores" is interval-independent; the logged subset falls by
-	// an order of magnitude or more (paper Figure 6).
-	if ratio := first.StoresPer1000 / last.StoresPer1000; ratio < 0.8 || ratio > 1.25 {
-		t.Errorf("all-stores rate should be flat across intervals, ratio %.2f", ratio)
-	}
-	if first.StoresCLBPer1000 < 4*last.StoresCLBPer1000 {
-		t.Errorf("stores->CLB must fall off strongly: %.2f -> %.2f",
-			first.StoresCLBPer1000, last.StoresCLBPer1000)
-	}
-	for _, pt := range r.Points {
-		if pt.StoresCLBPer1000 > pt.StoresPer1000 {
-			t.Errorf("interval %d: logged stores exceed all stores", pt.IntervalCycles)
+	return rep
+}
+
+// rowByLabels returns the report row whose label cells are labels.
+func rowByLabels(t *testing.T, rep *Report, labels ...string) Row {
+	t.Helper()
+	for _, row := range rep.Rows {
+		if slices.Equal(row.Labels, labels) {
+			return row
 		}
 	}
-	if !strings.Contains(r.Render(), "Figure 6") {
+	t.Fatalf("%s: no row %v", rep.Experiment, labels)
+	return Row{}
+}
+
+func TestFig6ShapeMatchesPaper(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	rep := runGolden(t, "fig6", tinyOptions())
+	if len(rep.Rows) != len(fig6Intervals()) {
+		t.Fatalf("points = %d", len(rep.Rows))
+	}
+	// Columns: all stores, all coherence requests, stores->CLB,
+	// coherence requests->CLB (per 1000 instructions).
+	const stores, storesCLB = 0, 2
+	first, last := rep.Rows[0].Values, rep.Rows[len(rep.Rows)-1].Values
+	// "All stores" is interval-independent; the logged subset falls by
+	// an order of magnitude or more (paper Figure 6).
+	if ratio := first[stores].Mean / last[stores].Mean; ratio < 0.8 || ratio > 1.25 {
+		t.Errorf("all-stores rate should be flat across intervals, ratio %.2f", ratio)
+	}
+	if first[storesCLB].Mean < 4*last[storesCLB].Mean {
+		t.Errorf("stores->CLB must fall off strongly: %.2f -> %.2f",
+			first[storesCLB].Mean, last[storesCLB].Mean)
+	}
+	for _, row := range rep.Rows {
+		if row.Values[storesCLB].Mean > row.Values[stores].Mean {
+			t.Errorf("interval %s: logged stores exceed all stores", row.Labels[0])
+		}
+	}
+	if !strings.Contains(rep.Render(), "Figure 6") {
 		t.Error("render missing title")
 	}
 }
@@ -115,27 +139,29 @@ func TestFig7LoggingShrinksWithInterval(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	r := Fig7(config.Default(), tinyOptions())
-	rep, err := RunExperiment("fig7", config.Default(), tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkExperimentGolden(t, rep)
-	first, last := r.Points[0], r.Points[len(r.Points)-1]
-	if first.LoggingFrac <= last.LoggingFrac {
+	rep := runGolden(t, "fig7", tinyOptions())
+	// Columns: hits, fills, coherence, logging, in percent of cache-port
+	// occupancy; frac converts back to a fraction.
+	const logging = 3
+	frac := func(v Value) float64 { return v.Mean / 100 }
+	first, last := rep.Rows[0].Values, rep.Rows[len(rep.Rows)-1].Values
+	if frac(first[logging]) <= frac(last[logging]) {
 		t.Errorf("logging bandwidth must shrink with interval: %.4f -> %.4f",
-			first.LoggingFrac, last.LoggingFrac)
+			frac(first[logging]), frac(last[logging]))
 	}
-	if first.LoggingFrac > 0.10 {
-		t.Errorf("logging fraction %.3f implausibly high (paper: a few percent at short intervals)", first.LoggingFrac)
+	if frac(first[logging]) > 0.10 {
+		t.Errorf("logging fraction %.3f implausibly high (paper: a few percent at short intervals)", frac(first[logging]))
 	}
-	for _, pt := range r.Points {
-		sum := pt.HitFrac + pt.FillFrac + pt.CoherenceFrac + pt.LoggingFrac
+	for _, row := range rep.Rows {
+		sum := 0.0
+		for _, v := range row.Values {
+			sum += frac(v)
+		}
 		if sum < 0.999 || sum > 1.001 {
-			t.Errorf("fractions sum to %.3f at interval %d", sum, pt.IntervalCycles)
+			t.Errorf("fractions sum to %.3f at interval %s", sum, row.Labels[0])
 		}
 	}
-	if !strings.Contains(r.Render(), "Figure 7") {
+	if !strings.Contains(rep.Render(), "Figure 7") {
 		t.Error("render missing title")
 	}
 }
@@ -146,24 +172,19 @@ func TestRecoveryExperiment(t *testing.T) {
 	}
 	o := tinyOptions()
 	o.Measure = 1_500_000
-	r := Recovery(config.Default(), o)
-	rep, err := RunExperiment("recovery", config.Default(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkExperimentGolden(t, rep)
-	if r.Recoveries == 0 {
+	rep := runGolden(t, "recovery", o)
+	if rowByLabels(t, rep, "recoveries", "count").Values[0].Mean == 0 {
 		t.Fatal("no recoveries observed")
 	}
 	// The paper's claim: recovery latency well under a millisecond
 	// (1e6 cycles at 1 GHz).
-	if r.CoordCycles.Mean() >= 1e6 {
-		t.Fatalf("recovery coordination %.0f cycles: not sub-millisecond", r.CoordCycles.Mean())
+	if coord := rowByLabels(t, rep, "coordination latency", "cycles").Values[0].Mean; coord >= 1e6 {
+		t.Fatalf("recovery coordination %.0f cycles: not sub-millisecond", coord)
 	}
-	if r.IPCWithFaults <= 0 {
+	if rowByLabels(t, rep, "throughput with faults", "aggregate IPC").Values[0].Mean <= 0 {
 		t.Fatal("faulty run made no progress")
 	}
-	if !strings.Contains(r.Render(), "Recovery latency") {
+	if !strings.Contains(rep.Render(), "Recovery latency") {
 		t.Error("render missing title")
 	}
 }
@@ -172,25 +193,20 @@ func TestDetectExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	o := tinyOptions()
-	r := Detect(config.Default(), o)
-	rep, err := RunExperiment("detect", config.Default(), o)
-	if err != nil {
-		t.Fatal(err)
+	rep := runGolden(t, "detect", tinyOptions())
+	if !strings.Contains(rep.Title, "(configured tolerance: 400000 cycles)") {
+		t.Fatalf("title %q: tolerance is not 400000 cycles", rep.Title)
 	}
-	checkExperimentGolden(t, rep)
-	if r.Tolerance != 400_000 {
-		t.Fatalf("tolerance = %d, want 400000", r.Tolerance)
-	}
-	for _, pt := range r.Points {
-		if pt.Crashed {
-			t.Errorf("detection latency %d crashed the protected system", pt.DetectionCycles)
+	for _, row := range rep.Rows {
+		// Labels: detection latency, recovered, crashed.
+		if row.Labels[2] != "false" {
+			t.Errorf("detection latency %s crashed the protected system", row.Labels[0])
 		}
-		if !pt.Recovered {
-			t.Errorf("detection latency %d: fault never recovered", pt.DetectionCycles)
+		if row.Labels[1] != "true" {
+			t.Errorf("detection latency %s: fault never recovered", row.Labels[0])
 		}
 	}
-	if !strings.Contains(r.Render(), "Detection-latency") {
+	if !strings.Contains(rep.Render(), "Detection-latency") {
 		t.Error("render missing title")
 	}
 }
@@ -198,7 +214,7 @@ func TestDetectExperiment(t *testing.T) {
 func TestVictimSwitchStable(t *testing.T) {
 	_ = sim.Time(0)
 	if victimSwitchNode != 5 {
-		t.Fatal("victim switch changed; update EXPERIMENTS.md")
+		t.Fatal("victim switch changed; update the fig5 hard-fault docs")
 	}
 }
 
@@ -207,33 +223,29 @@ func TestFig5ShapeMatchesPaper(t *testing.T) {
 		t.Skip("short mode")
 	}
 	o := runner.Options{Runs: 1, Warmup: 200_000, Measure: 500_000, BaseSeed: 1}
-	r := Fig5(config.Default(), o)
-	rep, err := RunExperiment("fig5", config.Default(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkExperimentGolden(t, rep)
-	for _, wl := range r.Workloads {
-		if _, _, crashed := r.Normalized(wl, UnprotectedWithFault); !crashed {
+	rep := runGolden(t, "fig5", o)
+	for _, wl := range workload.PaperWorkloads() {
+		bar := func(name string) Value { return rowByLabels(t, rep, wl, name).Values[0] }
+		if !bar("Unprotected with fault").Crashed {
 			t.Errorf("%s: unprotected system survived the fault", wl)
 		}
-		mean, _, crashed := r.Normalized(wl, SafetyNetFaultFree)
-		if crashed {
+		v := bar("SafetyNet fault-free")
+		if v.Crashed {
 			t.Errorf("%s: SafetyNet fault-free crashed", wl)
 		}
 		// Short single-run windows are noisy; the paper's claim is
 		// statistical similarity, so just bound the deviation.
-		if mean < 0.80 || mean > 1.25 {
-			t.Errorf("%s: SafetyNet fault-free normalized perf %.3f far from 1.0", wl, mean)
+		if v.Mean < 0.80 || v.Mean > 1.25 {
+			t.Errorf("%s: SafetyNet fault-free normalized perf %.3f far from 1.0", wl, v.Mean)
 		}
-		if m, _, c := r.Normalized(wl, SafetyNetTransientFaults); c || m < 0.5 {
-			t.Errorf("%s: transient-fault bar %.3f (crash=%v)", wl, m, c)
+		if v := bar("SafetyNet with transient faults"); v.Crashed || v.Mean < 0.5 {
+			t.Errorf("%s: transient-fault bar %.3f (crash=%v)", wl, v.Mean, v.Crashed)
 		}
-		if m, _, c := r.Normalized(wl, SafetyNetHardFault); c || m < 0.5 {
-			t.Errorf("%s: hard-fault bar %.3f (crash=%v)", wl, m, c)
+		if v := bar("SafetyNet with a hard fault"); v.Crashed || v.Mean < 0.5 {
+			t.Errorf("%s: hard-fault bar %.3f (crash=%v)", wl, v.Mean, v.Crashed)
 		}
 	}
-	if !strings.Contains(r.Render(), "Figure 5") {
+	if !strings.Contains(rep.Render(), "Figure 5") {
 		t.Error("render missing title")
 	}
 }
@@ -243,20 +255,15 @@ func TestFig8BackpressureCliff(t *testing.T) {
 		t.Skip("short mode")
 	}
 	o := runner.Options{Runs: 1, Warmup: 200_000, Measure: 500_000, BaseSeed: 1}
-	r := Fig8(config.Default(), o)
-	rep, err := RunExperiment("fig8", config.Default(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkExperimentGolden(t, rep)
-	big := r.Sizes[0]
-	small := r.Sizes[len(r.Sizes)-1]
+	rep := runGolden(t, "fig8", o)
+	// One row per workload; columns run from the largest CLB to the
+	// smallest.
 	degraded := 0
-	for _, wl := range r.Workloads {
-		mBig, _ := r.Normalized(wl, big)
-		mSmall, _ := r.Normalized(wl, small)
+	for _, row := range rep.Rows {
+		mBig := row.Values[0].Mean
+		mSmall := row.Values[len(row.Values)-1].Mean
 		if mBig < 0.99 || mBig > 1.01 {
-			t.Errorf("%s: largest CLB should normalize to 1.0, got %.3f", wl, mBig)
+			t.Errorf("%s: largest CLB should normalize to 1.0, got %.3f", row.Labels[0], mBig)
 		}
 		if mSmall < mBig*0.9 {
 			degraded++
@@ -265,7 +272,7 @@ func TestFig8BackpressureCliff(t *testing.T) {
 	if degraded < 3 {
 		t.Errorf("only %d workloads degraded at the smallest CLB; expected the cliff", degraded)
 	}
-	if !strings.Contains(r.Render(), "Figure 8") {
+	if !strings.Contains(rep.Render(), "Figure 8") {
 		t.Error("render missing title")
 	}
 }

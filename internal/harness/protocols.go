@@ -64,7 +64,7 @@ type protocolsCell struct {
 	crashed bool
 }
 
-func protocolsReduce(pts []Point, res []runner.RunResult) *Report {
+func protocolsReduce(_ config.Params, _ runner.Options, pts []Point, res []runner.RunResult) *Report {
 	cells := map[string]map[string]*protocolsCell{}
 	for _, wl := range workload.PaperWorkloads() {
 		cells[wl] = map[string]*protocolsCell{}
@@ -84,12 +84,11 @@ func protocolsReduce(pts []Point, res []runner.RunResult) *Report {
 	}
 
 	rep := &Report{
-		Experiment: "protocols",
-		Title:      "Two protocols, one harness: directory vs snooping SafetyNet",
-		Subtitle:   "(same parameters aimed at both backends; IPC is per-substrate, not comparable across rows)",
-		LabelCols:  []string{"workload", "protocol"},
-		ValueCols:  []string{"aggregate IPC", "CLB appends /1k instr"},
-		ValueFmt:   []string{"%.3f", "%.2f"},
+		Title:     "Two protocols, one harness: directory vs snooping SafetyNet",
+		Subtitle:  "(same parameters aimed at both backends; IPC is per-substrate, not comparable across rows)",
+		LabelCols: []string{"workload", "protocol"},
+		ValueCols: []string{"aggregate IPC", "CLB appends /1k instr"},
+		ValueFmt:  []string{"%.3f", "%.2f"},
 		Notes: []string{
 			"(paper fn. 1/§2.3: SafetyNet is protocol-agnostic — on the ordered snooping interconnect logical time is simply the total snoop order; logging overhead per instruction is of the same order on both substrates)",
 		},
@@ -105,24 +104,4 @@ func protocolsReduce(pts []Point, res []runner.RunResult) *Report {
 		}
 	}
 	return rep
-}
-
-// Protocols runs the directory-vs-snoop comparison across the five paper
-// workloads.
-func Protocols(base config.Params, o runner.Options) *Report {
-	o = o.Sanitized()
-	pts := protocolsGrid(base, o)
-	return protocolsReduce(pts, RunPoints(pts, o.Workers))
-}
-
-func init() {
-	NewExperiment("protocols",
-		"Two protocols, one harness",
-		"side-by-side directory vs snooping IPC and logging overhead across the five paper workloads").
-		Order(8).
-		Grid(protocolsGrid).
-		Reduce(func(_ config.Params, _ runner.Options, pts []Point, res []runner.RunResult) *Report {
-			return protocolsReduce(pts, res)
-		}).
-		MustRegister()
 }

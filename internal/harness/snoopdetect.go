@@ -2,11 +2,11 @@ package harness
 
 import (
 	"fmt"
-	"safetynet/internal/runner"
 	"strconv"
 
 	"safetynet/internal/config"
 	"safetynet/internal/fault"
+	"safetynet/internal/runner"
 	"safetynet/internal/sim"
 )
 
@@ -52,14 +52,13 @@ func snoopDetectGrid(base config.Params, o runner.Options) []Point {
 	return pts
 }
 
-func snoopDetectReduce(pts []Point, res []runner.RunResult) *Report {
+func snoopDetectReduce(_ config.Params, _ runner.Options, pts []Point, res []runner.RunResult) *Report {
 	rep := &Report{
-		Experiment: "snoopdetect",
-		Title:      "Detection latency on the snooping backend (ordered interconnect)",
-		Subtitle:   "(workload: " + snoopDetectWorkload + "; one dropped data response per run)",
-		LabelCols:  []string{"detection latency", "recovered"},
-		ValueCols:  []string{"aggregate IPC", "instrs rolled back"},
-		ValueFmt:   []string{"%.3f", "%.0f"},
+		Title:     "Detection latency on the snooping backend (ordered interconnect)",
+		Subtitle:  "(workload: " + snoopDetectWorkload + "; one dropped data response per run)",
+		LabelCols: []string{"detection latency", "recovered"},
+		ValueCols: []string{"aggregate IPC", "instrs rolled back"},
+		ValueFmt:  []string{"%.3f", "%.0f"},
 		Notes: []string{
 			"(paper §2.3: on an ordered interconnect logical time is the total snoop order, so detection is a pure transaction timeout and every latency recovers)",
 		},
@@ -75,24 +74,4 @@ func snoopDetectReduce(pts []Point, res []runner.RunResult) *Report {
 		})
 	}
 	return rep
-}
-
-// SnoopDetect sweeps the detection (timeout) latency on the snooping
-// backend with a single injected transient fault.
-func SnoopDetect(base config.Params, o runner.Options) *Report {
-	o = o.Sanitized()
-	pts := snoopDetectGrid(base, o)
-	return snoopDetectReduce(pts, RunPoints(pts, o.Workers))
-}
-
-func init() {
-	NewExperiment("snoopdetect",
-		"Detection latency on the snooping backend",
-		"detection/recovery latency sweep on the ordered snooping interconnect (fn. 1, §2.3)").
-		Order(7).
-		Grid(snoopDetectGrid).
-		Reduce(func(_ config.Params, _ runner.Options, pts []Point, res []runner.RunResult) *Report {
-			return snoopDetectReduce(pts, res)
-		}).
-		MustRegister()
 }

@@ -6,8 +6,9 @@ import (
 	"sync"
 )
 
-// RunGroupsCtx executes runs on a shared worker pool like
-// RunAllStreamCtx, with per-group early cancellation: group[i] names
+// RunGroupsCtx executes runs on a shared worker pool with per-group
+// early cancellation; it holds the package's one worker loop, which
+// RunAll and RunAllStreamCtx reuse with a single group. group[i] names
 // the group (an exploration arm, typically) run i belongs to, and when
 // the onDone callback returns true the whole group is canceled — its
 // queued runs are skipped without executing and its in-flight runs are

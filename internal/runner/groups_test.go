@@ -6,7 +6,7 @@ import (
 )
 
 // TestRunGroupsCtxCompletesAllWithoutPruning: with a callback that never
-// prunes, RunGroupsCtx is RunAllStream — every run completes, results
+// prunes, RunGroupsCtx is RunAllStreamCtx — every run completes, results
 // are input-ordered, no group reports canceled.
 func TestRunGroupsCtxCompletesAllWithoutPruning(t *testing.T) {
 	rcs := testRuns(4)

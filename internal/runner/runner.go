@@ -1,18 +1,18 @@
 // Package runner is the execution substrate shared by every sweep in
 // the repository: it builds one simulated backend per run description,
 // measures the run's window deltas, and fans independent runs across a
-// worker pool without changing any result. The experiment registry
-// (internal/harness) and the campaign engine (internal/campaign) both
-// sit on top of it, so parallelism semantics — worker-count
-// sanitization, deterministic result order, streaming completion — are
-// defined exactly once.
+// worker pool without changing any result. The experiment catalog
+// (internal/harness), the campaign engine (internal/campaign) and the
+// exploration engine (internal/explore) all sit on top of it, so
+// parallelism semantics — worker-count sanitization, deterministic
+// result order, streaming completion, cancellation — are defined
+// exactly once, in the one worker loop of RunGroupsCtx.
 package runner
 
 import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"safetynet/internal/backend"
 	"safetynet/internal/cache"
@@ -275,9 +275,9 @@ func RunCtx(ctx context.Context, rc RunConfig) (RunResult, error) {
 
 // Workers is the single worker-count sanitization path every sweep
 // shares: zero and negative counts mean "one worker per available CPU"
-// (GOMAXPROCS), anything positive is taken literally. harness.Options
-// and campaign.Options both funnel through it, so "0 means use the
-// machine" cannot drift between layers.
+// (GOMAXPROCS), anything positive is taken literally. Options and
+// campaign.Options both funnel through it, so "0 means use the machine"
+// cannot drift between layers.
 func Workers(n int) int {
 	if n <= 0 {
 		return runtime.GOMAXPROCS(0)
@@ -291,76 +291,27 @@ func Workers(n int) int {
 // executed serially or on a worker pool. The worker count is sanitized
 // through Workers.
 func RunAll(rcs []RunConfig, workers int) []RunResult {
-	return RunAllStream(rcs, workers, nil)
-}
-
-// RunAllStream is RunAll with a completion callback: onDone fires once
-// per run, in completion order (not input order), as soon as that run's
-// result exists. Calls are serialized, so the callback may write shared
-// progress state without locking. The returned slice is still in input
-// order regardless of scheduling.
-func RunAllStream(rcs []RunConfig, workers int, onDone func(i int, r RunResult)) []RunResult {
-	res, _ := RunAllStreamCtx(context.Background(), rcs, workers, onDone)
+	res, _ := RunAllStreamCtx(context.Background(), rcs, workers, nil)
 	return res
 }
 
-// RunAllStreamCtx is RunAllStream under a context: a canceled context
-// stops dispatching queued runs and abandons in-flight ones at the next
-// stride check (see RunCtx), then returns the context's error with the
-// partial results (canceled runs hold the zero RunResult and fire no
-// callback). With a background context it is exactly RunAllStream.
+// RunAllStreamCtx is RunAll under a context and with a completion
+// callback: onDone fires once per run, in completion order (not input
+// order), as soon as that run's result exists. Calls are serialized, so
+// the callback may write shared progress state without locking. The
+// returned slice is still in input order regardless of scheduling. A
+// canceled context stops dispatching queued runs and abandons in-flight
+// ones at the next stride check (see RunCtx), then returns the
+// context's error with the partial results (canceled runs hold the zero
+// RunResult and fire no callback). It is RunGroupsCtx with every run in
+// one group that is never canceled.
 func RunAllStreamCtx(ctx context.Context, rcs []RunConfig, workers int, onDone func(i int, r RunResult)) ([]RunResult, error) {
-	res := make([]RunResult, len(rcs))
-	workers = Workers(workers)
-	if workers > len(rcs) {
-		workers = len(rcs)
-	}
-	var mu sync.Mutex
-	done := func(i int) {
-		if onDone == nil {
-			return
-		}
-		mu.Lock()
-		onDone(i, res[i])
-		mu.Unlock()
-	}
-	if workers <= 1 {
-		for i := range rcs {
-			r, err := RunCtx(ctx, rcs[i])
-			if err != nil {
-				return res, err
+	res, _, err := RunGroupsCtx(ctx, rcs, make([]int, len(rcs)), workers,
+		func(i int, r RunResult) bool {
+			if onDone != nil {
+				onDone(i, r)
 			}
-			res[i] = r
-			done(i)
-		}
-		return res, nil
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				r, err := RunCtx(ctx, rcs[i])
-				if err != nil {
-					continue // canceled; keep draining without running
-				}
-				res[i] = r
-				done(i)
-			}
-		}()
-	}
-	for i := range rcs {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			close(idx)
-			wg.Wait()
-			return res, ctx.Err()
-		}
-	}
-	close(idx)
-	wg.Wait()
-	return res, ctx.Err()
+			return false
+		})
+	return res, err
 }

@@ -60,12 +60,15 @@ func TestRunAllDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestRunAllStreamCompletion(t *testing.T) {
 	rcs := testRuns(5)
 	seen := map[int]RunResult{}
-	res := RunAllStream(rcs, 3, func(i int, r RunResult) {
+	res, err := RunAllStreamCtx(context.Background(), rcs, 3, func(i int, r RunResult) {
 		if _, dup := seen[i]; dup {
 			t.Errorf("run %d completed twice", i)
 		}
 		seen[i] = r
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(seen) != len(rcs) {
 		t.Fatalf("callback fired %d times, want %d", len(seen), len(rcs))
 	}

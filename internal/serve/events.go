@@ -89,8 +89,14 @@ func (h *hub) done() int {
 // canceled context returns its error.
 func (h *hub) wait(ctx context.Context, cursor int) ([]Event, *End, error) {
 	// Wake every waiter when the subscriber's context ends; each waiter
-	// rechecks its own context below.
-	stop := context.AfterFunc(ctx, h.cond.Broadcast)
+	// rechecks its own context below. The broadcast takes h.mu so it
+	// cannot fall between a waiter's ctx.Err check and its cond.Wait,
+	// where it would wake nobody and leave the waiter asleep.
+	stop := context.AfterFunc(ctx, func() {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		h.cond.Broadcast()
+	})
 	defer stop()
 
 	h.mu.Lock()

@@ -36,15 +36,12 @@
 // recoveries, fault firings, and crashes without white-box access.
 //
 // The experiment harness regenerating every table and figure of the
-// paper's evaluation is exposed through a registry: Experiments() lists
-// the catalog and RunExperiment runs one entry, optionally fanning its
+// paper's evaluation is a fixed catalog: Experiments() lists it in paper
+// order and RunExperiment runs one entry, optionally fanning its
 // independent simulations across a worker pool, and returns a structured
-// Report that renders as text and marshals to JSON or CSV. The registry
-// is open — NewExperiment builds and registers experiments from any
-// package, and every built-in table and figure is defined through the
-// same builder; cmd/snbench drives the registry. (The per-figure
-// RunTable2/RunFig5/... wrappers were retired in favor of the uniform
-// RunExperiment(name, cfg, opts).)
+// Report that renders as text and marshals to JSON or CSV; cmd/snbench
+// drives the catalog. New sweeps are campaigns (LoadCampaign, then
+// Campaign.Run), not catalog entries.
 package safetynet
 
 import (
@@ -360,14 +357,14 @@ func Scalar(v float64) Value { return harness.Scalar(v) }
 // CrashedValue marks a design point whose runs crashed.
 func CrashedValue() Value { return harness.CrashedValue() }
 
-// ExperimentInfo describes one registered experiment.
+// ExperimentInfo describes one catalog experiment.
 type ExperimentInfo struct {
 	Name        string
 	Title       string
 	Description string
 }
 
-// Experiments lists the registered experiment catalog in paper order.
+// Experiments lists the experiment catalog in paper order.
 func Experiments() []ExperimentInfo {
 	var out []ExperimentInfo
 	for _, e := range harness.Experiments() {
@@ -376,7 +373,7 @@ func Experiments() []ExperimentInfo {
 	return out
 }
 
-// RunExperiment runs one registered experiment against the given
+// RunExperiment runs one catalog experiment against the given
 // configuration. Options.Workers sizes the worker pool the experiment's
 // independent simulations fan across without changing any result.
 // Unknown names report the valid ones.
@@ -384,48 +381,6 @@ func RunExperiment(name string, cfg Config, o ExperimentOptions) (*Report, error
 	return harness.RunExperiment(name, cfg, o)
 }
 
-// ---------------------------------------------------------------------
-// Public experiment builder
-// ---------------------------------------------------------------------
-
-// Cycles is the simulation-time unit (1 cycle = 1 ns at the modeled
-// 1 GHz); experiment options and run windows are expressed in it.
-type Cycles = sim.Time
-
-// ExperimentPoint is one simulation of an experiment's design-point
-// grid: a labeled position along the experiment's dimensions plus the
-// concrete run it expands to.
-type ExperimentPoint = harness.Point
-
-// ExperimentRun is one concrete simulation: parameters, workload, the
-// warmup/measurement windows, and the fault plan armed before it starts.
-type ExperimentRun = runner.RunConfig
-
-// ExperimentRunResult carries everything a run measured; Reduce
-// functions fold a grid of these into a Report.
+// ExperimentRunResult carries everything one simulation measured; the
+// campaign and exploration per-run callbacks receive it.
 type ExperimentRunResult = runner.RunResult
-
-// ExperimentBuilder assembles one experiment for registration; see
-// NewExperiment.
-type ExperimentBuilder = harness.Builder
-
-// NewExperiment starts building an experiment for the registry — the
-// same builder every built-in table and figure of the paper registers
-// through. An experiment declares a grid (expanding a base configuration
-// and options into labeled runs) and a reduce step (folding the grid's
-// results into a structured Report); Register adds it to the catalog
-// that Experiments lists and RunExperiment and cmd/snbench execute:
-//
-//	err := safetynet.NewExperiment("sweep", "My Sweep", "what it measures").
-//		Order(100).
-//		Grid(func(base safetynet.Config, o safetynet.ExperimentOptions) []safetynet.ExperimentPoint {
-//			...
-//		}).
-//		Reduce(func(base safetynet.Config, o safetynet.ExperimentOptions,
-//			pts []safetynet.ExperimentPoint, res []safetynet.ExperimentRunResult) *safetynet.Report {
-//			...
-//		}).
-//		Register()
-func NewExperiment(name, title, description string) *ExperimentBuilder {
-	return harness.NewExperiment(name, title, description)
-}

@@ -239,8 +239,8 @@ func TestDirectoryBackendUnchanged(t *testing.T) {
 	}
 }
 
-// TestTable2Renders drives the parameter table through the uniform
-// experiment registry (the per-figure wrappers are gone).
+// TestTable2Renders drives the parameter table through RunExperiment,
+// the one way to run a catalog experiment.
 func TestTable2Renders(t *testing.T) {
 	rep, err := RunExperiment("table2", DefaultConfig(), QuickOptions())
 	if err != nil {

@@ -253,62 +253,3 @@ func TestRunObserverSnoop(t *testing.T) {
 		t.Fatal("no recovery-point advances observed")
 	}
 }
-
-// TestPublicExperimentBuilder: an experiment defined entirely through
-// the public builder registers, lists, and runs like the built-ins.
-func TestPublicExperimentBuilder(t *testing.T) {
-	name := "builder-test"
-	err := NewExperiment(name, "Builder Test", "public-builder registration test").
-		Order(1000).
-		Grid(func(base Config, o ExperimentOptions) []ExperimentPoint {
-			return []ExperimentPoint{{
-				Labels: map[string]string{"point": "only"},
-				Run: ExperimentRun{
-					Params:   base,
-					Workload: "barnes",
-					Warmup:   Cycles(20_000),
-					Measure:  Cycles(100_000),
-				},
-			}}
-		}).
-		Reduce(func(base Config, o ExperimentOptions, pts []ExperimentPoint, res []ExperimentRunResult) *Report {
-			rep := &Report{LabelCols: []string{"point"}, ValueCols: []string{"ipc"}}
-			for i, pt := range pts {
-				rep.Rows = append(rep.Rows, Row{
-					Labels: []string{pt.Label("point")},
-					Values: []Value{Scalar(res[i].IPC)},
-				})
-			}
-			return rep
-		}).
-		Register()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	listed := false
-	for _, e := range Experiments() {
-		if e.Name == name {
-			listed = true
-		}
-	}
-	if !listed {
-		t.Fatalf("%s not in the catalog", name)
-	}
-
-	rep, err := RunExperiment(name, DefaultConfig(), QuickOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != 1 || rep.Rows[0].Values[0].Mean == 0 {
-		t.Fatalf("report = %+v", rep)
-	}
-
-	// A second registration under the same name is an error, not a panic.
-	if err := NewExperiment(name, "dup", "dup").Reduce(nil).Register(); err == nil {
-		t.Fatal("duplicate registration must fail")
-	}
-	if err := NewExperiment("", "t", "d").Register(); err == nil {
-		t.Fatal("nameless experiment must fail")
-	}
-}
